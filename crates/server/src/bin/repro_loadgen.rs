@@ -1,254 +1,472 @@
-//! Load generator for the tagging server: N concurrent deterministic clients
-//! lease task batches, report completions and poll metrics over real TCP,
-//! recording throughput and latency percentiles into a growing benchmark
-//! history.
+//! Correctness harness for the tagging server: concurrent deterministic
+//! clients lease task batches, report completions and poll metrics over real
+//! TCP, then every session is drained to budget exhaustion and its final
+//! state is checked and, with `--check`, written as a canonical digest.
+//! Speed is measured by `svcbench` (`svcbench/README.md`), not here: the
+//! harness records no timings and writes no file but the digest.
 //!
-//! Usage:
-//! `cargo run --release -p tagging-server --bin repro_loadgen -- [options]`
+//! Usage: `cargo build --release -p tagging-server`, then
+//! `./target/release/repro_loadgen [options]`. Without `--addr` the harness
+//! spawns the `tagging_server` built beside it and shuts it down at the end;
+//! it never shuts down a server it did not spawn.
 //!
-//! * `--workload single|mixed` — `single` (default) drives one scenario, the
-//!   original PR-4 workload; `mixed` registers many small sessions plus a few
-//!   giant ones and spreads clients over them with a skewed session choice
-//!   (the giants soak up most of the traffic);
-//! * `--addr HOST:PORT` — target an already-running server (default: spawn an
-//!   in-process server on an ephemeral port and verify its clean shutdown);
+//! * `--addr HOST:PORT` — target a running server instead;
 //! * `--clients N` — concurrent clients (default 4);
-//! * `--idle N` — additionally open N keep-alive connections that stay
-//!   *silent* for the whole run and must still answer a final probe (default
-//!   0; exercises the nonblocking accept path's cold sweep);
+//! * `--idle N` — also hold N keep-alive connections that stay silent for the
+//!   whole drive and must still answer a final probe (default 0);
 //! * `--requests N` — total HTTP requests to drive (default 12000);
-//! * `--batch K` — tasks leased per batch request (default 8);
-//! * `--resources N` / `--budget B` / `--strategy S` / `--seed X` — the
-//!   scenario registered for a `single` run (defaults 120 / 50000 / FP / 1);
-//!   `mixed` derives its scenario fleet from `--seed`;
-//! * `--small N` / `--large N` — mixed-workload scenario counts (defaults
-//!   6 small / 2 giant);
-//! * `--shards S` — registry shard count for the in-process server (default
-//!   16); recorded in the report entry;
-//! * `--corpus PATH` — register the single scenario from a saved corpus;
-//! * `--check PATH` — after draining every scenario, write a canonical JSON
-//!   digest of the final per-scenario state; two runs with the same options
-//!   against servers with *different shard counts* must produce byte-equal
-//!   digests (CI diffs them) — and a `--crash-after` run must produce the
-//!   same digest as an uninterrupted one; `--check` also cross-checks the
-//!   client-side latency percentiles against the server's own
-//!   `server_request_us` histogram scraped from `GET /stats` (skipped when
-//!   the server was built with telemetry compiled to no-ops);
-//! * `--data-dir DIR` — run the in-process server with durable sessions
-//!   (WAL + snapshots) under `DIR`; recorded as `durability: "wal"` in the
-//!   report entry so WAL-on and WAL-off throughput can be compared;
-//! * `--snapshot-every N` / `--fsync POLICY` / `--flush-interval-ms N` /
-//!   `--compact-interval-ms N` — forwarded to the store (and to the daemon
-//!   in crash mode) exactly as `tagging_server` takes them; the effective
-//!   flush policy is recorded as `flush_mode` in the report entry, so
-//!   `always` and `group` runs can be compared line against line;
-//! * `--crash-after N` — the crash-recovery harness: spawn the
-//!   `tagging_server` *daemon* as a child process on `--data-dir`, SIGKILL
-//!   it after N requests mid-drive, restart it on the same directory, verify
-//!   every session recovered, resume the drive, report the recovered pending
-//!   ("ghost") leases, drain, and write the `--check` digest — which must be
-//!   byte-identical to an uninterrupted run's (requires `--data-dir`;
-//!   N must be well below `--requests`);
-//! * `--scrape-interval T` — spawn a scraper thread that samples the run
-//!   every `T` (`500ms`, `2s`, or a bare millisecond count): request
-//!   progress plus the server's trailing-1s windowed latency view from
-//!   `GET /stats?window=1s`, recorded as a `timeline` array in the report
-//!   entry;
-//! * `--out PATH` — the JSON report history (default `BENCH_loadgen.json`);
-//!   each run appends an entry instead of overwriting, so the file tracks
-//!   performance over time;
-//! * `--shutdown` — send `POST /shutdown` when done (implied in-process).
+//! * `--check PATH` — write the digest of the drained state to `PATH`. Runs
+//!   that differ only in shard count, telemetry build, store flags or a crash
+//!   must produce byte-identical digests;
+//! * `--crash-after N` — SIGKILL the daemon once N requests were served,
+//!   restart it on the same `--data-dir`, verify every session recovered, and
+//!   resume the drive (needs `--data-dir` and N below `--requests`);
+//! * `--shards`, `--data-dir`, `--snapshot-every`, `--fsync`,
+//!   `--flush-interval-ms`, `--compact-interval-ms` — passed unchanged to the
+//!   spawned daemon, which alone knows their rules; refused with `--addr`.
 //!
-//! Every client runs a fixed request pattern derived from its index, so a run
-//! is reproducible up to thread interleaving; the server-side sessions stay
-//! consistent under any interleaving, which the final metrics checks verify.
+//! Every run takes one path: register → drive (→ SIGKILL, restart, verify,
+//! resume) → report pending ("ghost") leases → drain → final checks → digest
+//! → shutdown. The fleet is 6 small sessions cycling FP, RR, MU and FP-MU plus
+//! 2 giants on FP and RR, which get ~3/4 of the traffic. Each server the
+//! harness connects to prints one `healthz` stderr line with its `durable`
+//! and `flush` values.
 
 use std::collections::HashMap;
+use std::io::{BufRead, BufReader};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde::Value;
-use tagging_persist::PersistOptions;
-use tagging_runtime::{lock_unpoisoned, FlushPolicy};
 use tagging_server::http::HttpClient;
-use tagging_server::{ServerOptions, TaggingServer, TelemetryOptions};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Workload {
-    Single,
-    Mixed,
-}
+/// Small sessions in the fleet (40 resources, budget 600 each).
+const SMALL: usize = 6;
+/// Giant sessions in the fleet (400 resources, budget 12,000 each).
+const LARGE: usize = 2;
+/// Tasks a client leases per batch request.
+const BATCH: u64 = 8;
+/// Root seed of the fleet's corpora and of the clients' scenario choice.
+const SEED: u64 = 1;
+/// Flags handed to a spawned daemon exactly as given.
+const DAEMON_FLAGS: [&str; 6] = [
+    "--shards",
+    "--data-dir",
+    "--snapshot-every",
+    "--fsync",
+    "--flush-interval-ms",
+    "--compact-interval-ms",
+];
+/// The harness's own flags.
+const OWN_FLAGS: [&str; 6] = [
+    "--addr",
+    "--clients",
+    "--idle",
+    "--requests",
+    "--check",
+    "--crash-after",
+];
 
-#[derive(Debug, Clone)]
 struct Options {
-    workload: Workload,
     addr: Option<String>,
     clients: usize,
     idle: usize,
     requests: usize,
-    batch: usize,
-    resources: usize,
-    budget: usize,
-    strategy: String,
-    seed: u64,
-    small: usize,
-    large: usize,
-    shards: usize,
-    corpus: Option<String>,
     check: Option<String>,
-    data_dir: Option<String>,
-    snapshot_every: Option<usize>,
-    fsync: Option<String>,
-    flush_interval_ms: Option<usize>,
-    compact_interval_ms: Option<usize>,
     crash_after: Option<usize>,
-    scrape_interval_ms: Option<u64>,
-    out: String,
-    shutdown: bool,
+    /// The `DAEMON_FLAGS` given on the command line, as flag/value pairs.
+    daemon_args: Vec<String>,
 }
 
 impl Options {
-    fn parse(args: &[String]) -> Self {
-        let value = |name: &str| -> Option<String> {
-            let mut iter = args.iter();
-            while let Some(arg) = iter.next() {
-                if arg == name {
-                    return iter.next().cloned();
-                }
+    /// Parses `--flag value` pairs; an unknown flag, a missing value or a
+    /// malformed number is an error, never a silent default.
+    fn parse(args: &[String]) -> Result<Self, String> {
+        let mut given = HashMap::new();
+        for pair in args.chunks(2) {
+            let flag = pair[0].as_str();
+            if !OWN_FLAGS.contains(&flag) && !DAEMON_FLAGS.contains(&flag) {
+                return Err(format!("unknown flag `{flag}`"));
             }
-            None
+            let value = pair.get(1).ok_or(format!("{flag} expects a value"))?;
+            given.insert(flag, value.clone());
+        }
+        let number = |flag: &str| -> Result<Option<usize>, String> {
+            let parse = |v: &String| v.parse().map_err(|_| format!("{flag}: bad number `{v}`"));
+            given.get(flag).map(parse).transpose()
         };
-        let number = |name: &str, default: usize| -> usize {
-            value(name).and_then(|v| v.parse().ok()).unwrap_or(default)
+        let options = Self {
+            addr: given.get("--addr").cloned(),
+            clients: number("--clients")?.unwrap_or(4).max(1),
+            idle: number("--idle")?.unwrap_or(0),
+            requests: number("--requests")?.unwrap_or(12_000),
+            check: given.get("--check").cloned(),
+            crash_after: number("--crash-after")?,
+            daemon_args: DAEMON_FLAGS
+                .iter()
+                .filter_map(|flag| Some([flag.to_string(), given.get(flag)?.clone()]))
+                .flatten()
+                .collect(),
         };
-        Self {
-            workload: match value("--workload").as_deref() {
-                Some("mixed") => Workload::Mixed,
-                _ => Workload::Single,
-            },
-            addr: value("--addr"),
-            clients: number("--clients", 4).max(1),
-            idle: number("--idle", 0),
-            requests: number("--requests", 12_000),
-            batch: number("--batch", 8).max(1),
-            resources: number("--resources", 120).max(1),
-            budget: number("--budget", 50_000),
-            strategy: value("--strategy").unwrap_or_else(|| "FP".to_string()),
-            seed: value("--seed").and_then(|v| v.parse().ok()).unwrap_or(1),
-            small: number("--small", 6),
-            large: number("--large", 2),
-            shards: number("--shards", 16).max(1),
-            corpus: value("--corpus"),
-            check: value("--check"),
-            data_dir: value("--data-dir"),
-            snapshot_every: value("--snapshot-every").and_then(|v| v.parse().ok()),
-            fsync: value("--fsync"),
-            flush_interval_ms: value("--flush-interval-ms").and_then(|v| v.parse().ok()),
-            compact_interval_ms: value("--compact-interval-ms").and_then(|v| v.parse().ok()),
-            crash_after: value("--crash-after").and_then(|v| v.parse().ok()),
-            scrape_interval_ms: value("--scrape-interval").and_then(|v| parse_interval_ms(&v)),
-            out: value("--out").unwrap_or_else(|| "BENCH_loadgen.json".to_string()),
-            shutdown: args.iter().any(|a| a == "--shutdown"),
+        if options.addr.is_some() && !options.daemon_args.is_empty() {
+            return Err("store flags configure a spawned daemon; drop them with --addr".into());
         }
-    }
-
-    /// The `durability` value recorded in the report entry.
-    fn durability(&self) -> &'static str {
-        if self.data_dir.is_some() {
-            "wal"
-        } else {
-            "off"
-        }
-    }
-
-    /// Store options for the in-process server, mirroring the daemon's flag
-    /// semantics (a `--flush-interval-ms` without `--fsync` selects group
-    /// commit — the cadence names the tenant it drives).
-    fn persist_options(&self) -> Option<PersistOptions> {
-        let dir = self.data_dir.as_ref()?;
-        let mut persist = PersistOptions::new(dir, self.shards);
-        if let Some(every) = self.snapshot_every {
-            persist.snapshot_every = (every as u64).max(1);
-        }
-        match self.fsync.as_deref() {
-            Some(policy) => match FlushPolicy::parse(policy) {
-                Some(policy) => persist.flush = policy,
-                None => eprintln!(
-                    "--fsync expects always|never|group|every:N, got `{policy}`; using {}",
-                    persist.flush
-                ),
-            },
-            None => {
-                if self.flush_interval_ms.is_some() {
-                    persist.flush = FlushPolicy::Group;
-                }
+        match options.crash_after {
+            Some(_) if options.addr.is_some() || !given.contains_key("--data-dir") => {
+                Err("--crash-after spawns its own daemon and needs --data-dir".into())
             }
-        }
-        if let Some(interval) = self.flush_interval_ms {
-            persist.flush_interval_ms = (interval as u64).max(1);
-        }
-        if let Some(interval) = self.compact_interval_ms {
-            persist.compact_interval_ms = interval as u64;
-        }
-        Some(persist)
-    }
-
-    /// The `flush_mode` value recorded in the report entry: the effective
-    /// WAL flush policy, or `off` when the run is not durable at all.
-    fn flush_mode(&self) -> String {
-        match self.persist_options() {
-            Some(persist) => persist.flush.to_string(),
-            None => "off".to_string(),
+            Some(n) if n >= options.requests => {
+                Err("--crash-after must be below --requests".into())
+            }
+            _ => Ok(options),
         }
     }
 }
 
-/// One scenario registered for the run.
-#[derive(Debug, Clone)]
+/// One registered session of the fleet.
 struct ScenarioHandle {
     id: u64,
-    strategy: String,
-    resources: usize,
+    strategy: &'static str,
+    resources: u64,
     budget: usize,
-}
-
-/// Per-client tallies, merged after the join.
-#[derive(Debug, Default)]
-struct Tally {
-    latencies_us: Vec<u64>,
-    batch_requests: usize,
-    report_requests: usize,
-    metrics_requests: usize,
-    /// Tasks leased per scenario id.
-    tasks_leased: HashMap<u64, usize>,
-}
-
-impl Tally {
-    fn leased_total(&self) -> usize {
-        self.tasks_leased.values().sum()
-    }
-}
-
-/// SplitMix64 finalizer: drives the deterministic skewed scenario choice.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = Options::parse(&args);
-    let result = match options.crash_after {
-        Some(crash_after) => run_crash(&options, crash_after),
-        None => run(&options),
-    };
-    if let Err(message) = result {
+    let options = Options::parse(&args).unwrap_or_else(|message| {
+        eprintln!("repro_loadgen: {message}");
+        std::process::exit(2);
+    });
+    if let Err(message) = run(&options) {
         eprintln!("repro_loadgen failed: {message}");
         std::process::exit(1);
     }
+}
+
+fn run(options: &Options) -> Result<(), String> {
+    let mut daemon = match options.addr {
+        Some(_) => None,
+        None => Some(Daemon::spawn(options)?),
+    };
+    let mut addr = match &daemon {
+        Some(daemon) => daemon.addr.clone(),
+        None => options
+            .addr
+            .clone()
+            .expect("--addr when no daemon is spawned"),
+    };
+    let (mut admin, _) = connect(&addr)?;
+    let fleet = register_fleet(&mut admin)?;
+
+    // The silent keep-alive fleet: each connection proves liveness once, then
+    // sends nothing until the final probe after the drain.
+    let mut idle_fleet = Vec::with_capacity(options.idle);
+    for i in 0..options.idle {
+        let mut client = HttpClient::connect(&addr).map_err(|e| format!("idle {i}: {e}"))?;
+        call(&mut client, "GET", "/healthz", None).map_err(|e| format!("idle {i}: {e}"))?;
+        idle_fleet.push(client);
+    }
+
+    let issued = AtomicUsize::new(0);
+    if let Some(crash_after) = options.crash_after {
+        let first = daemon.as_mut().expect("--crash-after spawns its daemon");
+        let aborted = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while issued.load(Ordering::Relaxed) < crash_after
+                    && !aborted.load(Ordering::SeqCst)
+                {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                // Raise the flag first, so the clients take the failures the
+                // kill causes as expected. No flush, no shutdown marker.
+                aborted.store(true, Ordering::SeqCst);
+                let _ = first.child.kill();
+                let _ = first.child.wait();
+            });
+            let driven = drive(&addr, &fleet, options, &issued, &aborted);
+            aborted.store(true, Ordering::SeqCst);
+            driven
+        })?;
+        eprintln!(
+            "killed the daemon after {} requests (threshold {crash_after})",
+            issued.load(Ordering::Relaxed)
+        );
+        let restarted = Daemon::spawn(options)?;
+        addr = restarted.addr.clone();
+        daemon = Some(restarted);
+        let sessions;
+        (admin, sessions) = connect(&addr)?;
+        if sessions != fleet.len() as u64 {
+            return Err(format!("{sessions} of {} sessions recovered", fleet.len()));
+        }
+    }
+    let leased = drive(&addr, &fleet, options, &issued, &AtomicBool::new(false))?;
+
+    // Complete the leases a crash left pending, then drain every session to
+    // budget exhaustion so the final state is a pure function of the workload,
+    // whatever the interleaving — the property the digest relies on.
+    let mut ghosts = 0;
+    let mut final_metrics = Vec::with_capacity(fleet.len());
+    for scenario in &fleet {
+        let (id, budget) = (scenario.id, scenario.budget);
+        ghosts += report_ghosts(&mut admin, id)?;
+        let client_leases = leased.get(&id).copied().unwrap_or(0) + drain(&mut admin, id)?;
+        let metrics = call(&mut admin, "GET", &at(id, "metrics"), None)?;
+        match metrics.get("budget_spent") {
+            Some(&Value::UInt(spent)) if spent as usize == budget => {}
+            other => {
+                return Err(format!(
+                    "scenario {id}: budget {budget} not drained: {other:?}"
+                ))
+            }
+        }
+        // Leases the first daemon acknowledged just before a SIGKILL never
+        // reach a client tally, so only an uninterrupted run can match them.
+        if options.crash_after.is_none() && client_leases != budget {
+            return Err(format!(
+                "scenario {id}: server accounted {budget} tasks but clients leased {client_leases}"
+            ));
+        }
+        match metrics.get("mean_quality") {
+            Some(Value::Float(q)) if (0.0..=1.0).contains(q) => {}
+            other => return Err(format!("scenario {id}: bad mean_quality {other:?}")),
+        }
+        final_metrics.push((scenario, metrics));
+    }
+    // Without a crash every lease was reported, and the silent fleet must
+    // have outlived the whole drive (a crash takes the fleet's daemon).
+    if options.crash_after.is_none() {
+        if ghosts > 0 {
+            return Err(format!("the drive left {ghosts} leases pending"));
+        }
+        for (i, client) in idle_fleet.iter_mut().enumerate() {
+            call(client, "GET", "/healthz", None).map_err(|e| format!("idle {i}: {e}"))?;
+        }
+    }
+    drop(idle_fleet);
+
+    if let Some(path) = &options.check {
+        let text = serde_json::to_string_pretty(&check_digest(&final_metrics))
+            .expect("Value serialization is total");
+        std::fs::write(path, text.as_bytes()).map_err(|e| format!("cannot write {path}: {e}"))?;
+        eprintln!("wrote response digest to {path}");
+    }
+    if let Some(daemon) = daemon {
+        daemon.shutdown(&mut admin)?;
+    }
+    println!(
+        "drove {} requests with {} clients (+{} idle), reported {ghosts} ghost leases, \
+         drained every budget",
+        issued.load(Ordering::Relaxed),
+        options.clients,
+        options.idle
+    );
+    Ok(())
+}
+
+/// Drives `--clients` keep-alive clients against `addr` until `issued`
+/// reaches `--requests`. Each client leases a batch, reports every lease and
+/// polls metrics on every 8th iteration. Returns the tasks the clients leased
+/// per session. A client whose request fails after `aborted` went up (just
+/// before a SIGKILL) stops quietly with its tally; any earlier failure fails
+/// the run.
+fn drive(
+    addr: &str,
+    fleet: &[ScenarioHandle],
+    options: &Options,
+    issued: &AtomicUsize,
+    aborted: &AtomicBool,
+) -> Result<HashMap<u64, usize>, String> {
+    let client = |index: usize| -> Result<HashMap<u64, usize>, String> {
+        let mut tally = HashMap::new();
+        let mut requests = || -> Result<(), String> {
+            let mut client = HttpClient::connect(addr).map_err(|e| format!("connect: {e}"))?;
+            let mut send = |method: &str, path: String, body: Option<Value>| {
+                let response = call(&mut client, method, &path, body.as_ref());
+                issued.fetch_add(1, Ordering::Relaxed);
+                response
+            };
+            let mut iteration = 0;
+            while issued.load(Ordering::Relaxed) < options.requests {
+                let id = fleet[pick_scenario(index, iteration)].id;
+                let tasks = task_ids(&send("POST", at(id, "batch"), Some(lease(BATCH)))?);
+                *tally.entry(id).or_insert(0) += tasks.len();
+                if !tasks.is_empty() {
+                    let response = send("POST", at(id, "report"), Some(report_body(tasks)))?;
+                    if response.get("accepted").is_none() {
+                        return Err(format!("report rejected: {response:?}"));
+                    }
+                }
+                if iteration % 8 == 7 {
+                    send("GET", at(id, "metrics"), None)?;
+                }
+                iteration += 1;
+            }
+            Ok(())
+        };
+        // Judged when the failure happens: only the kill excuses it.
+        match requests() {
+            Err(e) if !aborted.load(Ordering::SeqCst) => Err(format!("client {index}: {e}")),
+            _ => Ok(tally),
+        }
+    };
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..options.clients)
+            .map(|index| scope.spawn(move || client(index)))
+            .collect();
+        let mut leased = HashMap::new();
+        for handle in clients {
+            for (id, n) in handle.join().map_err(|_| "client thread panicked")?? {
+                *leased.entry(id).or_insert(0) += n;
+            }
+        }
+        Ok(leased)
+    })
+}
+
+/// The deterministic skewed scenario choice (a SplitMix64 finalizer over
+/// client and iteration): the two giants at the tail of the fleet receive
+/// ~3/4 of the traffic.
+fn pick_scenario(client: usize, iteration: usize) -> usize {
+    let mut x = SEED
+        ^ (client as u64).wrapping_mul(0x0100_0000_01b3)
+        ^ (iteration as u64).wrapping_mul(0x9e37_79b9);
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    let r = x ^ (x >> 31);
+    let pick = (r / 4) as usize;
+    if r.is_multiple_of(4) {
+        pick % (SMALL + LARGE)
+    } else {
+        SMALL + pick % LARGE
+    }
+}
+
+/// A `tagging_server` child process and the address it bound. Dropping it
+/// kills the process, so no failure path leaves a daemon behind.
+struct Daemon {
+    child: Child,
+    addr: String,
+    /// Held open but not read past the banner: the daemon's only later
+    /// stdout line is its shutdown notice, which the pipe buffer absorbs.
+    stdout: BufReader<ChildStdout>,
+}
+
+impl Daemon {
+    /// Spawns the `tagging_server` built beside this binary on an ephemeral
+    /// port with the forwarded flags, and reads the bound address from its
+    /// startup banner.
+    fn spawn(options: &Options) -> Result<Self, String> {
+        let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+        let bin = exe.with_file_name("tagging_server");
+        let workers = (options.clients + 1).min(8).to_string();
+        let mut child = Command::new(&bin)
+            .args(["--port", "0", "--workers", &workers])
+            .args(&options.daemon_args)
+            .stdout(Stdio::piped())
+            .spawn()
+            .map_err(|e| format!("cannot spawn {} ({e}); build it first", bin.display()))?;
+        let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        let mut daemon = Daemon {
+            child,
+            addr: String::new(),
+            stdout,
+        };
+        let mut line = String::new();
+        while daemon.addr.is_empty() {
+            line.clear();
+            let read = daemon.stdout.read_line(&mut line);
+            if read.map_err(|e| format!("daemon stdout: {e}"))? == 0 {
+                let status = daemon.child.wait().map_err(|e| format!("daemon: {e}"))?;
+                return Err(format!("daemon exited ({status}) before listening"));
+            }
+            eprint!("daemon: {line}");
+            if let Some(rest) = line.strip_prefix("listening on ") {
+                daemon.addr = rest.trim().to_string();
+            }
+        }
+        Ok(daemon)
+    }
+
+    /// Sends `POST /shutdown` and requires the daemon to exit cleanly.
+    fn shutdown(mut self, admin: &mut HttpClient) -> Result<(), String> {
+        call(admin, "POST", "/shutdown", None)?;
+        match self.child.wait() {
+            Ok(status) if status.success() => {
+                eprintln!("daemon shut down cleanly");
+                Ok(())
+            }
+            other => Err(format!("daemon shutdown: {other:?}")),
+        }
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Connects an admin client, prints the server's `durable` and `flush`
+/// values from `GET /healthz` as one stderr line, and returns the client
+/// with the server's session count.
+fn connect(addr: &str) -> Result<(HttpClient, u64), String> {
+    let mut admin = HttpClient::connect(addr).map_err(|e| format!("connect to {addr}: {e}"))?;
+    let health = call(&mut admin, "GET", "/healthz", None)?;
+    let (Some(Value::Bool(durable)), Some(&Value::UInt(sessions))) =
+        (health.get("durable"), health.get("sessions"))
+    else {
+        return Err(format!("unexpected healthz: {health:?}"));
+    };
+    let flush = match health.get("flush") {
+        Some(Value::String(flush)) => flush.as_str(),
+        _ => "none",
+    };
+    eprintln!("healthz {addr}: durable={durable} flush={flush} sessions={sessions}");
+    Ok((admin, sessions))
+}
+
+/// Registers the fleet: `SMALL` small sessions cycling every allocator, then
+/// `LARGE` giants on the two strategies whose fully-drained state does not
+/// depend on the interleaving (FP, RR) — the property the digest relies on.
+fn register_fleet(admin: &mut HttpClient) -> Result<Vec<ScenarioHandle>, String> {
+    const SMALL_STRATEGIES: [&str; 4] = ["FP", "RR", "MU", "FP-MU"];
+    let small = (0..SMALL).map(|i| (SMALL_STRATEGIES[i % 4], 40, 600, SEED + i as u64));
+    let large = (0..LARGE).map(|j| (["FP", "RR"][j % 2], 400, 12_000, SEED + 1_000 + j as u64));
+    small
+        .chain(large)
+        .map(|(strategy, resources, budget, corpus_seed)| {
+            let source = obj(vec![
+                ("resources", Value::UInt(resources)),
+                ("seed", Value::UInt(corpus_seed)),
+            ]);
+            let body = obj(vec![
+                ("strategy", Value::String(strategy.to_string())),
+                ("budget", Value::UInt(budget as u64)),
+                ("seed", Value::UInt(SEED)),
+                ("source", obj(vec![("generate", source)])),
+            ]);
+            let registered = call(admin, "POST", "/scenarios", Some(&body))?;
+            let (Some(&Value::UInt(id)), Some(&Value::UInt(resources))) =
+                (registered.get("scenario_id"), registered.get("resources"))
+            else {
+                return Err(format!("unexpected registration: {registered:?}"));
+            };
+            eprintln!(
+                "registered scenario {id}: {strategy}, {resources} resources, budget {budget}"
+            );
+            Ok(ScenarioHandle {
+                id,
+                strategy,
+                resources,
+                budget,
+            })
+        })
+        .collect()
 }
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
@@ -260,1189 +478,107 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
     )
 }
 
-fn run(options: &Options) -> Result<(), String> {
-    // Either target the given server or spawn one in-process; in-process runs
-    // always verify clean shutdown at the end.
-    let (addr, server_handle) = match &options.addr {
-        Some(addr) => (addr.clone(), None),
-        None => {
-            let server_options = ServerOptions {
-                workers: (options.clients + 1).min(8),
-                shards: options.shards,
-                persist: options.persist_options(),
-                telemetry: TelemetryOptions::default(),
-            };
-            let server = TaggingServer::bind_opts("127.0.0.1:0", server_options)
-                .map_err(|e| format!("cannot bind in-process server: {e}"))?;
-            let (addr, handle) = server
-                .spawn()
-                .map_err(|e| format!("cannot start in-process server: {e}"))?;
-            eprintln!(
-                "spawned in-process server on {addr} ({} registry shards, durability {})",
-                options.shards,
-                options.durability()
-            );
-            (addr.to_string(), Some(handle))
-        }
-    };
-
-    let mut admin = HttpClient::connect(&addr).map_err(|e| format!("cannot connect: {e}"))?;
-    let scenarios = match options.workload {
-        Workload::Single => vec![register_single(&mut admin, options)?],
-        Workload::Mixed => register_mixed(&mut admin, options)?,
-    };
-    for scenario in &scenarios {
-        eprintln!(
-            "registered scenario {}: {} resources, budget {}, strategy {}",
-            scenario.id, scenario.resources, scenario.budget, scenario.strategy
-        );
-    }
-
-    // The silent keep-alive fleet: each connection proves liveness once, then
-    // does not send a single byte until the final probe after the drive.
-    let mut idle_fleet: Vec<HttpClient> = Vec::with_capacity(options.idle);
-    for i in 0..options.idle {
-        let mut client =
-            HttpClient::connect(&addr).map_err(|e| format!("idle connection {i}: connect: {e}"))?;
-        let (status, _) = client
-            .request("GET", "/healthz", None)
-            .map_err(|e| format!("idle connection {i}: probe: {e}"))?;
-        if status != 200 {
-            return Err(format!("idle connection {i}: probe rejected ({status})"));
-        }
-        idle_fleet.push(client);
-    }
-    if options.idle > 0 {
-        eprintln!("opened {} silent keep-alive connections", options.idle);
-    }
-
-    // Fire the clients (and, when asked, the timeline scraper alongside).
-    let issued = Arc::new(AtomicUsize::new(0));
-    let tallies: Arc<Mutex<Vec<Tally>>> = Arc::new(Mutex::new(Vec::new()));
-    let start = Instant::now();
-    let scraper = options
-        .scrape_interval_ms
-        .map(|interval_ms| spawn_scraper(&addr, interval_ms, Arc::clone(&issued)));
-    drive_clients(&addr, &scenarios, options, &issued, &tallies, None)?;
-    let elapsed = start.elapsed();
-    let timeline = match scraper {
-        Some(scraper) => {
-            scraper.stop.store(true, Ordering::SeqCst);
-            scraper.handle.join().unwrap_or_default()
-        }
-        None => Vec::new(),
-    };
-
-    // Scrape the trailing-10s windowed view *now*, while the window still
-    // covers the drive — the drain below would skew it with its batch-64
-    // traffic. `None` when the server compiled telemetry to no-ops.
-    let windowed_stats = if options.check.is_some() {
-        scrape_windowed_stats(&mut admin)?
-    } else {
-        None
-    };
-
-    // Merge tallies.
-    let tallies = Arc::try_unwrap(tallies)
-        .expect("clients joined")
-        .into_inner()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    let mut latencies: Vec<u64> = tallies
-        .iter()
-        .flat_map(|t| t.latencies_us.clone())
-        .collect();
-    latencies.sort_unstable();
-    let total_requests: usize = latencies.len();
-    let batch_requests: usize = tallies.iter().map(|t| t.batch_requests).sum();
-    let report_requests: usize = tallies.iter().map(|t| t.report_requests).sum();
-    let metrics_requests: usize = tallies.iter().map(|t| t.metrics_requests).sum();
-    let mut tasks_leased: HashMap<u64, usize> = HashMap::new();
-    for tally in &tallies {
-        for (&id, &n) in &tally.tasks_leased {
-            *tasks_leased.entry(id).or_insert(0) += n;
-        }
-    }
-    let driven_leases: usize = tallies.iter().map(|t| t.leased_total()).sum();
-
-    // Drain every scenario to budget exhaustion so the final state is a pure
-    // function of the workload, independent of thread interleaving — the
-    // property the --check digest (and CI's shard-count diff) relies on.
-    for scenario in &scenarios {
-        let drained = drain_scenario(&mut admin, scenario.id)
-            .map_err(|e| format!("draining scenario {}: {e}", scenario.id))?;
-        *tasks_leased.entry(scenario.id).or_insert(0) += drained;
-    }
-
-    // Final metrics: the non-empty responses the smoke job asserts on.
-    let mut final_metrics: Vec<(ScenarioHandle, Value)> = Vec::new();
-    for scenario in &scenarios {
-        let (status, metrics) = admin
-            .request("GET", &format!("/scenarios/{}/metrics", scenario.id), None)
-            .map_err(|e| format!("final metrics request failed: {e}"))?;
-        if status != 200 {
-            return Err(format!("final metrics rejected ({status}): {metrics:?}"));
-        }
-        let spent = match metrics.get("budget_spent") {
-            Some(&Value::UInt(n)) => n as usize,
-            other => return Err(format!("final metrics missing budget_spent: {other:?}")),
-        };
-        let leased = tasks_leased.get(&scenario.id).copied().unwrap_or(0);
-        if spent == 0 || spent != leased {
-            return Err(format!(
-                "scenario {}: server accounted {spent} tasks but clients leased {leased}",
-                scenario.id
-            ));
-        }
-        if spent != scenario.budget {
-            return Err(format!(
-                "scenario {}: drained {spent} of budget {}",
-                scenario.id, scenario.budget
-            ));
-        }
-        match metrics.get("mean_quality") {
-            Some(Value::Float(q)) if (0.0..=1.0).contains(q) => {}
-            other => return Err(format!("final metrics missing mean_quality: {other:?}")),
-        }
-        final_metrics.push((scenario.clone(), metrics));
-    }
-
-    // The silent fleet must still be alive after the whole drive.
-    for (i, client) in idle_fleet.iter_mut().enumerate() {
-        let (status, _) = client
-            .request("GET", "/healthz", None)
-            .map_err(|e| format!("idle connection {i}: final probe: {e}"))?;
-        if status != 200 {
-            return Err(format!(
-                "idle connection {i}: final probe rejected ({status})"
-            ));
-        }
-    }
-    drop(idle_fleet);
-
-    // Scrape the server's own request-latency histogram so the report entry
-    // carries both sides of the latency story. Never part of the --check
-    // digest: telemetry must not perturb determinism.
-    let server_stats = scrape_server_stats(&mut admin)?;
-
-    if let Some(path) = &options.check {
-        let digest = check_digest(&final_metrics);
-        let text = serde_json::to_string_pretty(&digest).expect("Value serialization is total");
-        std::fs::write(path, text.as_bytes()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("wrote response digest to {path}");
-    }
-
-    if options.shutdown || server_handle.is_some() {
-        let (status, _) = admin
-            .request("POST", "/shutdown", None)
-            .map_err(|e| format!("shutdown request failed: {e}"))?;
-        if status != 200 {
-            return Err(format!("shutdown rejected ({status})"));
-        }
-    }
-    if let Some(handle) = server_handle {
-        handle
-            .join()
-            .map_err(|_| "server thread panicked".to_string())?
-            .map_err(|e| format!("server exited with error: {e}"))?;
-        eprintln!("in-process server shut down cleanly");
-    }
-
-    let percentile = |p: f64| -> u64 {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let idx = ((latencies.len() - 1) as f64 * p).round() as usize;
-        latencies[idx]
-    };
-
-    // Cross-check the two latency views in --check mode: the server-side
-    // histogram must have seen at least every driven request, its quantile
-    // upper bounds must be monotone, and — since the handler time it measures
-    // is a subset of the client-observed round trip and bucket upper bounds
-    // overshoot by strictly less than 2x — its p50 cannot plausibly exceed
-    // twice the client p50 plus slack. Skipped when the server was built
-    // with telemetry compiled out.
-    if options.check.is_some() && server_stats.telemetry == "on" {
-        if server_stats.count < total_requests as u64 {
-            return Err(format!(
-                "server histogram counted {} requests but the clients drove {total_requests}",
-                server_stats.count
-            ));
-        }
-        if !(server_stats.p50 <= server_stats.p90 && server_stats.p90 <= server_stats.p99) {
-            return Err(format!(
-                "server percentiles are not monotone: p50 {} p90 {} p99 {}",
-                server_stats.p50, server_stats.p90, server_stats.p99
-            ));
-        }
-        let bound = 2 * percentile(0.50) + 1000;
-        if server_stats.p50 > bound {
-            return Err(format!(
-                "server p50 {}us exceeds client-derived bound {bound}us",
-                server_stats.p50
-            ));
-        }
-        eprintln!(
-            "latency cross-check ok: server saw {} requests, p50 {}us within bound {bound}us",
-            server_stats.count, server_stats.p50
-        );
-    }
-
-    // Same discipline for the windowed view, except the bound derives from
-    // the client p99: the trailing-10s window covers only the tail of the
-    // drive, and under group commit the drain tail legitimately runs slower
-    // than the run-wide median (every straggler waits out a flusher tick) —
-    // but no time-local median can plausibly exceed twice the run-wide p99
-    // plus bucket slack.
-    if let Some(windowed) = &windowed_stats {
-        if !(windowed.p50 <= windowed.p90 && windowed.p90 <= windowed.p99) {
-            return Err(format!(
-                "windowed percentiles are not monotone: p50 {} p90 {} p99 {}",
-                windowed.p50, windowed.p90, windowed.p99
-            ));
-        }
-        let bound = 2 * percentile(0.99) + 1000;
-        if windowed.p50 > bound {
-            return Err(format!(
-                "windowed p50 {}us exceeds client-derived bound {bound}us",
-                windowed.p50
-            ));
-        }
-        eprintln!(
-            "windowed cross-check ok: trailing-10s window saw {} requests, p50 {}us p99 {}us",
-            windowed.count, windowed.p50, windowed.p99
-        );
-    }
-
-    let throughput = total_requests as f64 / elapsed.as_secs_f64();
-    let scenarios_value: Vec<Value> = final_metrics
-        .iter()
-        .map(|(scenario, metrics)| {
-            obj(vec![
-                ("id", Value::UInt(scenario.id)),
-                ("strategy", Value::String(scenario.strategy.clone())),
-                ("resources", Value::UInt(scenario.resources as u64)),
-                ("budget", Value::UInt(scenario.budget as u64)),
-                (
-                    "budget_spent",
-                    metrics.get("budget_spent").cloned().unwrap_or(Value::Null),
-                ),
-            ])
-        })
-        .collect();
-    let mut entry = obj(vec![
-        (
-            "workload",
-            Value::String(
-                match options.workload {
-                    Workload::Single => "single",
-                    Workload::Mixed => "mixed",
-                }
-                .to_string(),
-            ),
-        ),
-        ("addr", Value::String(addr.clone())),
-        (
-            "shards",
-            if options.addr.is_some() {
-                Value::String("external".to_string())
-            } else {
-                Value::UInt(options.shards as u64)
-            },
-        ),
-        (
-            "durability",
-            Value::String(options.durability().to_string()),
-        ),
-        ("flush_mode", Value::String(options.flush_mode())),
-        ("clients", Value::UInt(options.clients as u64)),
-        ("idle_connections", Value::UInt(options.idle as u64)),
-        ("batch", Value::UInt(options.batch as u64)),
-        ("requests", Value::UInt(total_requests as u64)),
-        (
-            "requests_by_kind",
-            obj(vec![
-                ("batch", Value::UInt(batch_requests as u64)),
-                ("report", Value::UInt(report_requests as u64)),
-                ("metrics", Value::UInt(metrics_requests as u64)),
-            ]),
-        ),
-        ("tasks_leased", Value::UInt(driven_leases as u64)),
-        ("elapsed_seconds", Value::Float(elapsed.as_secs_f64())),
-        ("throughput_rps", Value::Float(throughput)),
-        (
-            "latency_us",
-            obj(vec![
-                ("p50", Value::UInt(percentile(0.50))),
-                ("p90", Value::UInt(percentile(0.90))),
-                ("p99", Value::UInt(percentile(0.99))),
-                ("max", Value::UInt(latencies.last().copied().unwrap_or(0))),
-            ]),
-        ),
-        (
-            "server_latency_us",
-            obj(vec![
-                ("p50", Value::UInt(server_stats.p50)),
-                ("p90", Value::UInt(server_stats.p90)),
-                ("p99", Value::UInt(server_stats.p99)),
-                ("max", Value::UInt(server_stats.max)),
-                ("count", Value::UInt(server_stats.count)),
-            ]),
-        ),
-        ("telemetry", Value::String(server_stats.telemetry.clone())),
-        ("scenarios", Value::Array(scenarios_value)),
-    ]);
-    if let Some(interval) = options.scrape_interval_ms {
-        if let Value::Object(fields) = &mut entry {
-            fields.push(("scrape_interval_ms".to_string(), Value::UInt(interval)));
-            fields.push(("timeline".to_string(), Value::Array(timeline)));
-        }
-    }
-    append_history(&options.out, entry)?;
-
-    println!(
-        "drove {total_requests} requests ({batch_requests} batch / {report_requests} report / {metrics_requests} metrics) with {} clients (+{} idle connections) in {:.2}s",
-        options.clients,
-        options.idle,
-        elapsed.as_secs_f64()
-    );
-    println!(
-        "throughput {throughput:.0} req/s, latency p50 {}us p90 {}us p99 {}us; history appended to {}",
-        percentile(0.50),
-        percentile(0.90),
-        percentile(0.99),
-        options.out
-    );
-    println!(
-        "server-side handler latency (telemetry {}): p50 {}us p90 {}us p99 {}us over {} requests",
-        server_stats.telemetry,
-        server_stats.p50,
-        server_stats.p90,
-        server_stats.p99,
-        server_stats.count
-    );
-    if total_requests < options.requests {
-        return Err(format!(
-            "only {total_requests} of the requested {} requests were driven",
-            options.requests
-        ));
-    }
-    Ok(())
-}
-
-/// Spawns `--clients` threads that drive the workload until the shared
-/// `issued` counter reaches `--requests`, pushing their tallies into
-/// `tallies`.
-///
-/// When `aborted` is given the drive is crash-tolerant: once the flag is set
-/// (the harness sets it immediately before SIGKILLing the server), request
-/// failures end the client quietly instead of failing the run.
-fn drive_clients(
-    addr: &str,
-    scenarios: &[ScenarioHandle],
-    options: &Options,
-    issued: &Arc<AtomicUsize>,
-    tallies: &Arc<Mutex<Vec<Tally>>>,
-    aborted: Option<&Arc<AtomicBool>>,
-) -> Result<(), String> {
-    let mut workers = Vec::new();
-    for client_index in 0..options.clients {
-        let addr = addr.to_string();
-        let issued = Arc::clone(issued);
-        let tallies = Arc::clone(tallies);
-        let scenarios = scenarios.to_vec();
-        let target = options.requests;
-        let batch = options.batch;
-        let seed = options.seed;
-        let aborted = aborted.map(Arc::clone);
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("loadgen-client-{client_index}"))
-                .spawn(move || -> Result<(), String> {
-                    let crashed = || {
-                        aborted
-                            .as_ref()
-                            .is_some_and(|flag| flag.load(Ordering::SeqCst))
-                    };
-                    let mut client = match HttpClient::connect(&addr) {
-                        Ok(client) => client,
-                        Err(_) if crashed() => return Ok(()),
-                        Err(e) => return Err(format!("client {client_index}: connect: {e}")),
-                    };
-                    let mut tally = Tally::default();
-                    let mut iteration = 0usize;
-                    while issued.load(Ordering::Relaxed) < target {
-                        let scenario = pick_scenario(&scenarios, seed, client_index, iteration);
-                        if let Err(e) = drive_iteration(
-                            &mut client,
-                            scenario,
-                            batch,
-                            iteration,
-                            &issued,
-                            &mut tally,
-                        ) {
-                            if crashed() {
-                                break;
-                            }
-                            return Err(format!("client {client_index}: {e}"));
-                        }
-                        iteration += 1;
-                    }
-                    lock_unpoisoned(&tallies).push(tally);
-                    Ok(())
-                })
-                .expect("spawn client thread"),
-        );
-    }
-    for worker in workers {
-        worker
-            .join()
-            .map_err(|_| "client thread panicked".to_string())??;
-    }
-    Ok(())
-}
-
-/// A `tagging_server` child process and the address it bound.
-struct Daemon {
-    child: std::process::Child,
-    addr: String,
-}
-
-/// Spawns the `tagging_server` daemon (expected next to this binary) on an
-/// ephemeral port with `--data-dir`, and parses the bound address from its
-/// startup banner.
-fn spawn_daemon(options: &Options, data_dir: &str) -> Result<Daemon, String> {
-    use std::io::BufRead;
-
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let bin = exe
-        .parent()
-        .ok_or("current_exe has no parent directory")?
-        .join("tagging_server");
-    if !bin.exists() {
-        return Err(format!(
-            "daemon binary not found at {}; build the tagging_server bin first",
-            bin.display()
-        ));
-    }
-    let mut args: Vec<String> = [
-        "--port",
-        "0",
-        "--workers",
-        &(options.clients + 1).min(8).to_string(),
-        "--shards",
-        &options.shards.to_string(),
-        "--data-dir",
-        data_dir,
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    // Forward the store-tuning flags so the daemon persists exactly the way
-    // an in-process run with the same options would.
-    if let Some(every) = options.snapshot_every {
-        args.extend(["--snapshot-every".to_string(), every.to_string()]);
-    }
-    if let Some(policy) = &options.fsync {
-        args.extend(["--fsync".to_string(), policy.clone()]);
-    }
-    if let Some(interval) = options.flush_interval_ms {
-        args.extend(["--flush-interval-ms".to_string(), interval.to_string()]);
-    }
-    if let Some(interval) = options.compact_interval_ms {
-        args.extend(["--compact-interval-ms".to_string(), interval.to_string()]);
-    }
-    let mut child = std::process::Command::new(&bin)
-        .args(&args)
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::inherit())
-        .spawn()
-        .map_err(|e| format!("cannot spawn {}: {e}", bin.display()))?;
-    let stdout = child.stdout.take().ok_or("daemon stdout not captured")?;
-    let mut reader = std::io::BufReader::new(stdout);
-    let mut addr = None;
-    for _ in 0..64 {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                eprint!("daemon: {line}");
-                if let Some(rest) = line.strip_prefix("listening on ") {
-                    addr = Some(rest.trim().to_string());
-                    break;
-                }
-            }
-            Err(e) => return Err(format!("reading daemon stdout: {e}")),
-        }
-    }
-    let Some(addr) = addr else {
-        let _ = child.kill();
-        let _ = child.wait();
-        return Err("daemon never printed its listening address".to_string());
-    };
-    // Keep draining the pipe so the daemon never blocks on a full buffer.
-    std::thread::spawn(move || {
-        let mut sink = String::new();
-        while matches!(reader.read_line(&mut sink), Ok(n) if n > 0) {
-            sink.clear();
-        }
-    });
-    Ok(Daemon { child, addr })
-}
-
-/// The crash-recovery harness (`--crash-after N`, requires `--data-dir`):
-///
-/// 1. spawn the daemon as a child process with durable sessions enabled;
-/// 2. drive the workload; once N requests have been served, SIGKILL the
-///    daemon mid-flight — no flush, no shutdown marker;
-/// 3. restart the daemon on the same data directory and verify every
-///    scenario recovered;
-/// 4. resume the drive to the full `--requests` target, report the recovered
-///    pending ("ghost") leases via `GET /scenarios/{id}/tasks`, and drain
-///    every scenario to budget exhaustion;
-/// 5. write the `--check` digest, which must be byte-identical to the digest
-///    of an uninterrupted run with the same options (CI diffs the two).
-///
-/// The per-scenario lease accounting of the plain run is skipped: leases
-/// acknowledged by the first daemon just before the kill never reach a client
-/// tally, so the client-side count is legitimately incomplete. The server-side
-/// invariants (full budget spent, digest equality) still hold.
-fn run_crash(options: &Options, crash_after: usize) -> Result<(), String> {
-    let data_dir = options
-        .data_dir
-        .clone()
-        .ok_or("--crash-after requires --data-dir")?;
-    if options.addr.is_some() {
-        return Err("--crash-after drives its own daemon; drop --addr".to_string());
-    }
-    if crash_after >= options.requests {
-        return Err(format!(
-            "--crash-after {crash_after} must be below --requests {}",
-            options.requests
-        ));
-    }
-
-    // Phase 1: spawn, register, drive, kill.
-    let daemon = spawn_daemon(options, &data_dir)?;
-    let child = Arc::new(Mutex::new(daemon.child));
-    let mut admin =
-        HttpClient::connect(&daemon.addr).map_err(|e| format!("cannot connect: {e}"))?;
-    let scenarios = match options.workload {
-        Workload::Single => vec![register_single(&mut admin, options)?],
-        Workload::Mixed => register_mixed(&mut admin, options)?,
-    };
-    drop(admin);
-
-    let issued = Arc::new(AtomicUsize::new(0));
-    let tallies: Arc<Mutex<Vec<Tally>>> = Arc::new(Mutex::new(Vec::new()));
-    let aborted = Arc::new(AtomicBool::new(false));
-    let start = Instant::now();
-    let killer = {
-        let issued = Arc::clone(&issued);
-        let aborted = Arc::clone(&aborted);
-        let child = Arc::clone(&child);
-        std::thread::spawn(move || {
-            while issued.load(Ordering::Relaxed) < crash_after {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            // Set the flag first so every request failure the kill causes is
-            // seen as expected by the clients.
-            aborted.store(true, Ordering::SeqCst);
-            let mut child = lock_unpoisoned(&child);
-            let _ = child.kill();
-        })
-    };
-    drive_clients(
-        &daemon.addr,
-        &scenarios,
-        options,
-        &issued,
-        &tallies,
-        Some(&aborted),
-    )?;
-    killer.join().map_err(|_| "killer thread panicked")?;
-    lock_unpoisoned(&child)
-        .wait()
-        .map_err(|e| format!("waiting for killed daemon: {e}"))?;
-    let killed_at = issued.load(Ordering::Relaxed);
-    eprintln!("killed the daemon after {killed_at} requests (threshold {crash_after})");
-
-    // Phase 2: restart on the same data directory and verify recovery.
-    let daemon = spawn_daemon(options, &data_dir)?;
-    let mut admin =
-        HttpClient::connect(&daemon.addr).map_err(|e| format!("reconnect after restart: {e}"))?;
-    let (status, health) = admin
-        .request("GET", "/healthz", None)
-        .map_err(|e| format!("healthz after restart: {e}"))?;
-    if status != 200 {
-        return Err(format!("healthz after restart rejected ({status})"));
-    }
-    match health.get("sessions") {
-        Some(&Value::UInt(n)) if n as usize == scenarios.len() => {}
-        other => {
-            return Err(format!(
-                "expected {} recovered sessions after restart, healthz says {other:?}",
-                scenarios.len()
-            ));
-        }
-    }
-    eprintln!(
-        "daemon restarted on {} with all {} sessions recovered",
-        daemon.addr,
-        scenarios.len()
-    );
-
-    // Resume the drive to the full request target.
-    drive_clients(&daemon.addr, &scenarios, options, &issued, &tallies, None)?;
-    let elapsed = start.elapsed();
-
-    // Report the ghosts — leases the first daemon persisted but whose tasks
-    // died with the clients — then drain every scenario to exhaustion.
-    let mut ghosts = 0usize;
-    for scenario in &scenarios {
-        let (status, response) = admin
-            .request("GET", &format!("/scenarios/{}/tasks", scenario.id), None)
-            .map_err(|e| format!("pending tasks of scenario {}: {e}", scenario.id))?;
-        if status != 200 {
-            return Err(format!("pending tasks rejected ({status}): {response:?}"));
-        }
-        let pending = match response.get("pending") {
-            Some(Value::Array(ids)) => ids.clone(),
-            other => return Err(format!("no pending array: {other:?}")),
-        };
-        ghosts += pending.len();
-        for chunk in pending.chunks(64) {
-            let completions: Vec<Value> = chunk
-                .iter()
-                .map(|id| obj(vec![("task_id", id.clone())]))
-                .collect();
-            let (status, _) = admin
-                .request(
-                    "POST",
-                    &format!("/scenarios/{}/report", scenario.id),
-                    Some(&obj(vec![("completions", Value::Array(completions))])),
-                )
-                .map_err(|e| format!("reporting ghost leases: {e}"))?;
-            if status != 200 {
-                return Err(format!("ghost report rejected ({status})"));
-            }
-        }
-        drain_scenario(&mut admin, scenario.id)
-            .map_err(|e| format!("draining scenario {}: {e}", scenario.id))?;
-    }
-    eprintln!("reported {ghosts} ghost leases recovered from the WAL");
-
-    // Final metrics: full budget spent, no pending work — same server-side
-    // invariants as the plain run (client-side lease tallies are skipped).
-    let mut final_metrics: Vec<(ScenarioHandle, Value)> = Vec::new();
-    for scenario in &scenarios {
-        let (status, metrics) = admin
-            .request("GET", &format!("/scenarios/{}/metrics", scenario.id), None)
-            .map_err(|e| format!("final metrics request failed: {e}"))?;
-        if status != 200 {
-            return Err(format!("final metrics rejected ({status}): {metrics:?}"));
-        }
-        match metrics.get("budget_spent") {
-            Some(&Value::UInt(n)) if n as usize == scenario.budget => {}
-            other => {
-                return Err(format!(
-                    "scenario {}: expected budget {} spent after the drain, got {other:?}",
-                    scenario.id, scenario.budget
-                ));
-            }
-        }
-        final_metrics.push((scenario.clone(), metrics));
-    }
-
-    if let Some(path) = &options.check {
-        let digest = check_digest(&final_metrics);
-        let text = serde_json::to_string_pretty(&digest).expect("Value serialization is total");
-        std::fs::write(path, text.as_bytes()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("wrote response digest to {path}");
-    }
-
-    // Clean shutdown of the second daemon.
-    let (status, _) = admin
-        .request("POST", "/shutdown", None)
-        .map_err(|e| format!("shutdown request failed: {e}"))?;
-    if status != 200 {
-        return Err(format!("shutdown rejected ({status})"));
-    }
-    let exit = daemon
-        .child
-        .wait_with_output()
-        .map_err(|e| format!("waiting for daemon shutdown: {e}"))?;
-    if !exit.status.success() {
-        return Err(format!("daemon exited with {:?}", exit.status));
-    }
-
-    let total_requests = issued.load(Ordering::Relaxed);
-    let throughput = total_requests as f64 / elapsed.as_secs_f64();
-    let scenarios_value: Vec<Value> = final_metrics
-        .iter()
-        .map(|(scenario, metrics)| {
-            obj(vec![
-                ("id", Value::UInt(scenario.id)),
-                ("strategy", Value::String(scenario.strategy.clone())),
-                ("resources", Value::UInt(scenario.resources as u64)),
-                ("budget", Value::UInt(scenario.budget as u64)),
-                (
-                    "budget_spent",
-                    metrics.get("budget_spent").cloned().unwrap_or(Value::Null),
-                ),
-            ])
-        })
-        .collect();
-    let entry = obj(vec![
-        (
-            "workload",
-            Value::String(
-                match options.workload {
-                    Workload::Single => "single",
-                    Workload::Mixed => "mixed",
-                }
-                .to_string(),
-            ),
-        ),
-        ("addr", Value::String(daemon.addr.clone())),
-        ("shards", Value::UInt(options.shards as u64)),
-        ("durability", Value::String("wal".to_string())),
-        ("flush_mode", Value::String(options.flush_mode())),
-        ("crash_after", Value::UInt(crash_after as u64)),
-        ("killed_at", Value::UInt(killed_at as u64)),
-        ("ghost_leases", Value::UInt(ghosts as u64)),
-        ("clients", Value::UInt(options.clients as u64)),
-        ("batch", Value::UInt(options.batch as u64)),
-        ("requests", Value::UInt(total_requests as u64)),
-        ("elapsed_seconds", Value::Float(elapsed.as_secs_f64())),
-        ("throughput_rps", Value::Float(throughput)),
-        ("scenarios", Value::Array(scenarios_value)),
-    ]);
-    append_history(&options.out, entry)?;
-
-    println!(
-        "crash harness passed: {total_requests} requests across a SIGKILL at {killed_at}, \
-         {ghosts} ghost leases recovered, every budget drained; history appended to {}",
-        options.out
-    );
-    Ok(())
-}
-
-/// Registers the classic single scenario (`--resources`/`--budget`/
-/// `--strategy`, optionally from a saved corpus).
-fn register_single(admin: &mut HttpClient, options: &Options) -> Result<ScenarioHandle, String> {
-    let source = match &options.corpus {
-        Some(path) => obj(vec![("corpus_path", Value::String(path.clone()))]),
-        None => obj(vec![(
-            "generate",
-            obj(vec![
-                ("resources", Value::UInt(options.resources as u64)),
-                ("seed", Value::UInt(options.seed)),
-            ]),
-        )]),
-    };
-    register(
-        admin,
-        &options.strategy,
-        options.budget,
-        options.seed,
-        source,
-    )
-}
-
-/// Registers the mixed fleet: `--small` small sessions plus `--large` giant
-/// ones, strategies cycled so the fleet exercises every allocator while the
-/// giants (which receive most of the traffic) stay on the two strategies
-/// whose fully-drained state is interleaving-independent (FP, RR) — the
-/// property the `--check` digest relies on.
-fn register_mixed(
-    admin: &mut HttpClient,
-    options: &Options,
-) -> Result<Vec<ScenarioHandle>, String> {
-    const SMALL_STRATEGIES: [&str; 4] = ["FP", "RR", "MU", "FP-MU"];
-    const LARGE_STRATEGIES: [&str; 2] = ["FP", "RR"];
-    let mut scenarios = Vec::new();
-    for i in 0..options.small.max(1) {
-        let source = obj(vec![(
-            "generate",
-            obj(vec![
-                ("resources", Value::UInt(40)),
-                ("seed", Value::UInt(options.seed.wrapping_add(i as u64))),
-            ]),
-        )]);
-        scenarios.push(register(
-            admin,
-            SMALL_STRATEGIES[i % SMALL_STRATEGIES.len()],
-            600,
-            options.seed,
-            source,
-        )?);
-    }
-    for j in 0..options.large.max(1) {
-        let source = obj(vec![(
-            "generate",
-            obj(vec![
-                ("resources", Value::UInt(400)),
-                (
-                    "seed",
-                    Value::UInt(options.seed.wrapping_add(1_000 + j as u64)),
-                ),
-            ]),
-        )]);
-        scenarios.push(register(
-            admin,
-            LARGE_STRATEGIES[j % LARGE_STRATEGIES.len()],
-            12_000,
-            options.seed,
-            source,
-        )?);
-    }
-    Ok(scenarios)
-}
-
-fn register(
-    admin: &mut HttpClient,
-    strategy: &str,
-    budget: usize,
-    seed: u64,
-    source: Value,
-) -> Result<ScenarioHandle, String> {
-    let body = obj(vec![
-        ("strategy", Value::String(strategy.to_string())),
-        ("budget", Value::UInt(budget as u64)),
-        ("seed", Value::UInt(seed)),
-        ("source", source),
-    ]);
-    let (status, registered) = admin
-        .request("POST", "/scenarios", Some(&body))
-        .map_err(|e| format!("registration failed: {e}"))?;
-    if status != 200 {
-        return Err(format!("registration rejected ({status}): {registered:?}"));
-    }
-    let Some(&Value::UInt(id)) = registered.get("scenario_id") else {
-        return Err(format!(
-            "registration returned no scenario_id: {registered:?}"
-        ));
-    };
-    let resources = match registered.get("resources") {
-        Some(&Value::UInt(n)) => n as usize,
-        _ => 0,
-    };
-    Ok(ScenarioHandle {
-        id,
-        strategy: strategy.to_string(),
-        resources,
-        budget,
-    })
-}
-
-/// The deterministic skewed scenario choice: giants (the tail of the list in
-/// mixed mode) receive ~3/4 of the traffic. Single-scenario runs always pick
-/// the only entry.
-fn pick_scenario(
-    scenarios: &[ScenarioHandle],
-    seed: u64,
-    client: usize,
-    iteration: usize,
-) -> &ScenarioHandle {
-    if scenarios.len() == 1 {
-        return &scenarios[0];
-    }
-    // The giants are the scenarios with the largest budgets; partition point:
-    // anything at least 10x the smallest budget counts as giant.
-    let smallest = scenarios.iter().map(|s| s.budget).min().unwrap_or(1);
-    let giants: Vec<usize> = (0..scenarios.len())
-        .filter(|&i| scenarios[i].budget >= smallest.saturating_mul(10))
-        .collect();
-    let r = mix(seed
-        ^ (client as u64).wrapping_mul(0x0100_0000_01b3)
-        ^ (iteration as u64).wrapping_mul(0x9e37_79b9));
-    if !giants.is_empty() && !r.is_multiple_of(4) {
-        &scenarios[giants[(r / 4) as usize % giants.len()]]
-    } else {
-        &scenarios[(r / 4) as usize % scenarios.len()]
-    }
-}
-
-/// One client iteration: lease a batch, report every lease, poll metrics on
-/// every 8th iteration.
-fn drive_iteration(
+/// Sends one request and requires a 200.
+fn call(
     client: &mut HttpClient,
-    scenario: &ScenarioHandle,
-    batch: usize,
-    iteration: usize,
-    issued: &AtomicUsize,
-    tally: &mut Tally,
-) -> Result<(), String> {
-    let tasks = timed_request(
-        client,
-        "POST",
-        &format!("/scenarios/{}/batch", scenario.id),
-        Some(&obj(vec![("k", Value::UInt(batch as u64))])),
-        issued,
-        tally,
-    )?;
-    tally.batch_requests += 1;
-    let leased = match tasks.get("tasks") {
-        Some(Value::Array(items)) => items.clone(),
-        _ => Vec::new(),
-    };
-    *tally.tasks_leased.entry(scenario.id).or_insert(0) += leased.len();
-    if !leased.is_empty() {
-        let completions: Vec<Value> = leased
+    method: &str,
+    path: &str,
+    body: Option<&Value>,
+) -> Result<Value, String> {
+    let (status, value) = client
+        .request(method, path, body)
+        .map_err(|e| format!("{method} {path}: {e}"))?;
+    if status != 200 {
+        return Err(format!("{method} {path} returned {status}: {value:?}"));
+    }
+    Ok(value)
+}
+
+/// The path of one session's endpoint.
+fn at(id: u64, endpoint: &str) -> String {
+    format!("/scenarios/{id}/{endpoint}")
+}
+
+/// A batch request body leasing up to `k` tasks.
+fn lease(k: u64) -> Value {
+    obj(vec![("k", Value::UInt(k))])
+}
+
+/// The task ids of a batch response.
+fn task_ids(batch: &Value) -> Vec<Value> {
+    match batch.get("tasks") {
+        Some(Value::Array(tasks)) => tasks
             .iter()
             .filter_map(|t| t.get("task_id").cloned())
-            .map(|id| obj(vec![("task_id", id)]))
-            .collect();
-        let body = obj(vec![("completions", Value::Array(completions))]);
-        let response = timed_request(
-            client,
-            "POST",
-            &format!("/scenarios/{}/report", scenario.id),
-            Some(&body),
-            issued,
-            tally,
-        )?;
-        tally.report_requests += 1;
-        if response.get("accepted").is_none() {
-            return Err(format!("report rejected: {response:?}"));
-        }
+            .collect(),
+        _ => Vec::new(),
     }
-    if iteration % 8 == 7 {
-        timed_request(
-            client,
-            "GET",
-            &format!("/scenarios/{}/metrics", scenario.id),
-            None,
-            issued,
-            tally,
-        )?;
-        tally.metrics_requests += 1;
-    }
-    Ok(())
 }
 
-/// Leases and immediately reports batches of 64 until the scenario's budget
+/// A report body completing `ids` by replaying the recorded future posts.
+fn report_body(ids: Vec<Value>) -> Value {
+    let completions = ids
+        .into_iter()
+        .map(|id| obj(vec![("task_id", id)]))
+        .collect();
+    obj(vec![("completions", Value::Array(completions))])
+}
+
+/// Reports every pending lease of a session (after a crash: the leases the
+/// killed daemon persisted but whose clients died); returns how many.
+fn report_ghosts(admin: &mut HttpClient, id: u64) -> Result<usize, String> {
+    let response = call(admin, "GET", &at(id, "tasks"), None)?;
+    let Some(Value::Array(pending)) = response.get("pending") else {
+        return Err(format!("no pending array: {response:?}"));
+    };
+    for chunk in pending.chunks(64) {
+        call(
+            admin,
+            "POST",
+            &at(id, "report"),
+            Some(&report_body(chunk.to_vec())),
+        )?;
+    }
+    Ok(pending.len())
+}
+
+/// Leases and immediately reports batches of 64 until the session's budget
 /// is exhausted; returns how many tasks were drained.
-fn drain_scenario(admin: &mut HttpClient, id: u64) -> Result<usize, String> {
-    let mut drained = 0usize;
+fn drain(admin: &mut HttpClient, id: u64) -> Result<usize, String> {
+    let mut drained = 0;
     loop {
-        let (status, batch) = admin
-            .request(
-                "POST",
-                &format!("/scenarios/{id}/batch"),
-                Some(&obj(vec![("k", Value::UInt(64))])),
-            )
-            .map_err(|e| format!("drain batch: {e}"))?;
-        if status != 200 {
-            return Err(format!("drain batch rejected ({status})"));
-        }
-        let tasks = match batch.get("tasks") {
-            Some(Value::Array(items)) => items.clone(),
-            _ => Vec::new(),
-        };
+        let tasks = task_ids(&call(admin, "POST", &at(id, "batch"), Some(&lease(64)))?);
         if tasks.is_empty() {
             return Ok(drained);
         }
         drained += tasks.len();
-        let completions: Vec<Value> = tasks
-            .iter()
-            .filter_map(|t| t.get("task_id").cloned())
-            .map(|id| obj(vec![("task_id", id)]))
-            .collect();
-        let (status, _) = admin
-            .request(
-                "POST",
-                &format!("/scenarios/{id}/report"),
-                Some(&obj(vec![("completions", Value::Array(completions))])),
-            )
-            .map_err(|e| format!("drain report: {e}"))?;
-        if status != 200 {
-            return Err(format!("drain report rejected ({status})"));
-        }
+        call(admin, "POST", &at(id, "report"), Some(&report_body(tasks)))?;
     }
 }
 
-/// The server's own view of request latency, scraped from `GET /stats`.
-struct ServerStats {
-    /// `"on"` or `"noop"` — whether the server recorded anything at all.
-    telemetry: String,
-    count: u64,
-    p50: u64,
-    p90: u64,
-    p99: u64,
-    max: u64,
-}
-
-/// Extracts the `server_request_us` histogram summary plus the `telemetry`
-/// marker from a `/stats` (or `/stats?window=...`) body.
-fn extract_server_stats(stats: &Value) -> Result<ServerStats, String> {
-    let telemetry = match stats.get("telemetry") {
-        Some(Value::String(s)) => s.clone(),
-        other => return Err(format!("stats missing telemetry marker: {other:?}")),
-    };
-    let hist = stats
-        .get("histograms")
-        .and_then(|h| h.get("server_request_us"));
-    let field = |name: &str| -> u64 {
-        match hist.and_then(|h| h.get(name)) {
-            Some(&Value::UInt(n)) => n,
-            _ => 0,
-        }
-    };
-    Ok(ServerStats {
-        telemetry,
-        count: field("count"),
-        p50: field("p50"),
-        p90: field("p90"),
-        p99: field("p99"),
-        max: field("max"),
-    })
-}
-
-/// Scrapes `GET /stats` and extracts the `server_request_us` histogram
-/// summary plus the `telemetry` marker.
-fn scrape_server_stats(admin: &mut HttpClient) -> Result<ServerStats, String> {
-    let (status, stats) = admin
-        .request("GET", "/stats", None)
-        .map_err(|e| format!("stats scrape failed: {e}"))?;
-    if status != 200 {
-        return Err(format!("stats scrape rejected ({status}): {stats:?}"));
-    }
-    let stats = extract_server_stats(&stats)?;
-    if stats.telemetry == "on" && stats.count == 0 {
-        return Err("stats missing the server_request_us histogram".to_string());
-    }
-    Ok(stats)
-}
-
-/// Scrapes `GET /stats?window=10s`, retrying until a window rotation has
-/// captured the drive's traffic (rotations happen on the publisher's
-/// cadence, nominally once per second). Returns `None` when the server
-/// compiled telemetry to no-ops.
-fn scrape_windowed_stats(admin: &mut HttpClient) -> Result<Option<ServerStats>, String> {
-    const ATTEMPTS: usize = 12;
-    for attempt in 0..ATTEMPTS {
-        let (status, stats) = admin
-            .request("GET", "/stats?window=10s", None)
-            .map_err(|e| format!("windowed stats scrape failed: {e}"))?;
-        if status != 200 {
-            return Err(format!("windowed stats rejected ({status}): {stats:?}"));
-        }
-        let stats = extract_server_stats(&stats)?;
-        if stats.telemetry != "on" {
-            return Ok(None);
-        }
-        if stats.count > 0 {
-            return Ok(Some(stats));
-        }
-        if attempt + 1 < ATTEMPTS {
-            std::thread::sleep(Duration::from_millis(500));
-        }
-    }
-    Err("trailing-10s window never showed the drive's traffic".to_string())
-}
-
-/// A background thread sampling the run every `--scrape-interval`.
-struct Scraper {
-    stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<Vec<Value>>,
-}
-
-/// Parse `--scrape-interval`: `500ms`, `2s`, or a bare millisecond count.
-fn parse_interval_ms(text: &str) -> Option<u64> {
-    let text = text.trim();
-    if let Some(ms) = text.strip_suffix("ms") {
-        return ms.parse().ok().filter(|&n| n > 0);
-    }
-    if let Some(seconds) = text.strip_suffix('s') {
-        return seconds
-            .parse::<u64>()
-            .ok()
-            .filter(|&n| n > 0)
-            .and_then(|n| n.checked_mul(1_000));
-    }
-    text.parse().ok().filter(|&n| n > 0)
-}
-
-/// Spawns the timeline scraper: every `interval_ms` it records the request
-/// progress (from the shared `issued` counter) and the server's trailing-1s
-/// windowed latency view. Scrape failures degrade to progress-only entries —
-/// the timeline must never fail a run.
-fn spawn_scraper(addr: &str, interval_ms: u64, issued: Arc<AtomicUsize>) -> Scraper {
-    let stop = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&stop);
-    let addr = addr.to_string();
-    let handle = std::thread::Builder::new()
-        .name("loadgen-scraper".to_string())
-        .spawn(move || {
-            let started = Instant::now();
-            let mut client = HttpClient::connect(&addr).ok();
-            let mut timeline = Vec::new();
-            let mut prev_issued = 0usize;
-            while !flag.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(interval_ms));
-                let now_issued = issued.load(Ordering::Relaxed);
-                let mut fields = vec![
-                    (
-                        "t_ms",
-                        Value::UInt(started.elapsed().as_millis().min(u64::MAX as u128) as u64),
-                    ),
-                    ("issued", Value::UInt(now_issued as u64)),
-                    (
-                        "issued_delta",
-                        Value::UInt(now_issued.saturating_sub(prev_issued) as u64),
-                    ),
-                ];
-                prev_issued = now_issued;
-                if let Some(admin) = client.as_mut() {
-                    if let Ok((200, stats)) = admin.request("GET", "/stats?window=1s", None) {
-                        if let Ok(window) = extract_server_stats(&stats) {
-                            fields.push(("window_count", Value::UInt(window.count)));
-                            fields.push(("window_p50_us", Value::UInt(window.p50)));
-                            fields.push(("window_p99_us", Value::UInt(window.p99)));
-                        }
-                    }
-                }
-                timeline.push(obj(fields));
-            }
-            timeline
-        })
-        .expect("spawn scraper thread");
-    Scraper { stop, handle }
-}
-
-/// Canonical digest of the fully-drained final state, for byte-diffing runs
-/// against servers with different shard counts.
+/// Canonical digest of the fully-drained final state.
 ///
-/// All scenarios contribute their invariant fields; scenarios on FP/RR
-/// additionally contribute the full metric set (quality, undelivered count,
-/// the allocation vector), because for those two strategies the fully-drained
-/// allocation is a pure function of the total spend — independent of how
-/// concurrent clients interleaved. MU/FP-MU state depends on observation
-/// order, so their detailed fields are legitimately interleaving-dependent
-/// and excluded. Telemetry never contributes: the digest must be byte-equal
-/// whether the server records metrics or compiles them to no-ops.
-fn check_digest(final_metrics: &[(ScenarioHandle, Value)]) -> Value {
-    let entries: Vec<Value> = final_metrics
+/// Every session contributes its invariant fields; sessions on FP/RR also
+/// contribute quality, undelivered count and allocation, because for those
+/// two strategies the fully-drained allocation is a pure function of the
+/// total spend, whatever the client interleaving. MU/FP-MU state depends on
+/// observation order, so their detailed fields are left out. Telemetry never
+/// contributes: the digest must not depend on whether metrics are recorded.
+fn check_digest(final_metrics: &[(&ScenarioHandle, Value)]) -> Value {
+    let entries = final_metrics
         .iter()
         .map(|(scenario, metrics)| {
+            let field = |key: &str| metrics.get(key).cloned().unwrap_or(Value::Null);
             let mut fields = vec![
-                ("strategy", Value::String(scenario.strategy.clone())),
-                ("resources", Value::UInt(scenario.resources as u64)),
+                ("strategy", Value::String(scenario.strategy.to_string())),
+                ("resources", Value::UInt(scenario.resources)),
                 ("budget", Value::UInt(scenario.budget as u64)),
-                (
-                    "budget_spent",
-                    metrics.get("budget_spent").cloned().unwrap_or(Value::Null),
-                ),
-                (
-                    "pending_tasks",
-                    metrics.get("pending_tasks").cloned().unwrap_or(Value::Null),
-                ),
+                ("budget_spent", field("budget_spent")),
+                ("pending_tasks", field("pending_tasks")),
             ];
-            if matches!(scenario.strategy.as_str(), "FP" | "RR") {
+            if matches!(scenario.strategy, "FP" | "RR") {
                 for key in ["mean_quality", "undelivered", "allocation"] {
-                    fields.push((key, metrics.get(key).cloned().unwrap_or(Value::Null)));
+                    fields.push((key, field(key)));
                 }
             }
             obj(fields)
@@ -1452,54 +588,4 @@ fn check_digest(final_metrics: &[(ScenarioHandle, Value)]) -> Value {
         ("report", Value::String("loadgen-check".to_string())),
         ("scenarios", Value::Array(entries)),
     ])
-}
-
-/// Appends `entry` to the report history at `path`. An existing PR-4-era
-/// single-report file becomes the first history entry; a missing or
-/// unreadable file starts a fresh history.
-fn append_history(path: &str, entry: Value) -> Result<(), String> {
-    let mut entries: Vec<Value> = match std::fs::read_to_string(path) {
-        Ok(text) => match serde_json::from_str(&text) {
-            Ok(Value::Object(fields)) => {
-                let mut map: HashMap<String, Value> = fields.iter().cloned().collect();
-                match map.remove("entries") {
-                    Some(Value::Array(entries)) => entries,
-                    _ => vec![Value::Object(fields)],
-                }
-            }
-            _ => Vec::new(),
-        },
-        Err(_) => Vec::new(),
-    };
-    entries.push(entry);
-    let history = obj(vec![
-        ("report", Value::String("loadgen-history".to_string())),
-        ("entries", Value::Array(entries)),
-    ]);
-    let text = serde_json::to_string_pretty(&history).expect("Value serialization is total");
-    std::fs::write(path, text.as_bytes()).map_err(|e| format!("cannot write {path}: {e}"))
-}
-
-/// Performs one HTTP request, recording its latency and bumping the global
-/// request counter.
-fn timed_request(
-    client: &mut HttpClient,
-    method: &str,
-    path: &str,
-    body: Option<&Value>,
-    issued: &AtomicUsize,
-    tally: &mut Tally,
-) -> Result<Value, String> {
-    let start = Instant::now();
-    let (status, value) = client
-        .request(method, path, body)
-        .map_err(|e| format!("{method} {path}: {e}"))?;
-    tally
-        .latencies_us
-        .push(start.elapsed().as_micros().min(u64::MAX as u128) as u64);
-    issued.fetch_add(1, Ordering::Relaxed);
-    if status != 200 {
-        return Err(format!("{method} {path} returned {status}: {value:?}"));
-    }
-    Ok(value)
 }

@@ -30,6 +30,10 @@
 //!   request thread; `0` restores the legacy inline compaction where the
 //!   append crossing the cadence pays for the snapshot itself.
 //!
+//! A flag given without a value, a malformed number or an unknown `--fsync`
+//! policy exits with status 2 before anything binds, rather than running a
+//! default in its place.
+//!
 //! Observability flags (all observation-only):
 //!
 //! * `--publish-interval-ms N` — window-rotation / publisher period
@@ -59,24 +63,27 @@ use tagging_persist::PersistOptions;
 use tagging_runtime::FlushPolicy;
 use tagging_server::{ServerOptions, TaggingServer, TelemetryOptions};
 
+/// Exits with status 2 before anything binds: a malformed flag must never
+/// quietly run a different configuration.
+fn usage_error(message: String) -> ! {
+    eprintln!("tagging_server: {message}");
+    std::process::exit(2);
+}
+
 fn arg_value(args: &[String], name: &str) -> Option<usize> {
-    arg_text(args, name).and_then(|v| match v.parse::<usize>() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            eprintln!("{name} expects a non-negative integer, ignoring");
-            None
-        }
+    arg_text(args, name).map(|v| {
+        v.parse::<usize>().unwrap_or_else(|_| {
+            usage_error(format!("{name} expects a non-negative integer, got `{v}`"))
+        })
     })
 }
 
 fn arg_text(args: &[String], name: &str) -> Option<String> {
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == name {
-            return iter.next().cloned();
-        }
+    let position = args.iter().position(|arg| arg == name)?;
+    match args.get(position + 1) {
+        Some(value) => Some(value.clone()),
+        None => usage_error(format!("{name} expects a value")),
     }
-    None
 }
 
 fn main() {
@@ -91,33 +98,34 @@ fn main() {
     let shards = arg_value(&args, "--shards")
         .unwrap_or(tagging_sim::registry::DEFAULT_SHARDS)
         .max(1);
+    // Store flags are validated even without `--data-dir`, so a typo fails
+    // the same way whether or not the run is durable.
+    let snapshot_every = arg_value(&args, "--snapshot-every");
+    let fsync = arg_text(&args, "--fsync").map(|policy| {
+        FlushPolicy::parse(&policy).unwrap_or_else(|| {
+            usage_error(format!(
+                "--fsync expects always|never|group|every:N, got `{policy}`"
+            ))
+        })
+    });
+    let flush_interval = arg_value(&args, "--flush-interval-ms");
+    let compact_interval = arg_value(&args, "--compact-interval-ms");
     let persist = arg_text(&args, "--data-dir").map(|dir| {
         let mut options = PersistOptions::new(dir, shards);
-        if let Some(every) = arg_value(&args, "--snapshot-every") {
+        if let Some(every) = snapshot_every {
             options.snapshot_every = (every as u64).max(1);
         }
-        match arg_text(&args, "--fsync") {
-            Some(policy) => match FlushPolicy::parse(&policy) {
-                Some(policy) => options.flush = policy,
-                None => {
-                    eprintln!(
-                        "--fsync expects always|never|group|every:N, got `{policy}`; using {}",
-                        options.flush
-                    );
-                }
-            },
+        match fsync {
+            Some(policy) => options.flush = policy,
             // Asking for a flusher cadence without naming a policy means
             // group commit — that is the tenant the cadence drives.
-            None => {
-                if args.iter().any(|arg| arg == "--flush-interval-ms") {
-                    options.flush = FlushPolicy::Group;
-                }
-            }
+            None if flush_interval.is_some() => options.flush = FlushPolicy::Group,
+            None => {}
         }
-        if let Some(interval) = arg_value(&args, "--flush-interval-ms") {
+        if let Some(interval) = flush_interval {
             options.flush_interval_ms = (interval as u64).max(1);
         }
-        if let Some(interval) = arg_value(&args, "--compact-interval-ms") {
+        if let Some(interval) = compact_interval {
             options.compact_interval_ms = interval as u64;
         }
         options

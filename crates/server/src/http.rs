@@ -1,7 +1,7 @@
 //! Minimal std-only HTTP/1.1, just enough for a JSON service on loopback:
 //! request parsing with `Content-Length` bodies and keep-alive, response
-//! writing, and a tiny persistent-connection client used by `repro_loadgen`
-//! and the protocol tests.
+//! writing, and a tiny persistent-connection client used by the
+//! `repro_loadgen` correctness harness and the tests.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;

@@ -18,8 +18,9 @@
 //! * [`server`] — the accept loop, keep-alive handling, graceful shutdown.
 //!
 //! Binaries: `tagging_server` (the daemon) and `repro_loadgen` (a
-//! deterministic multi-client load generator that records throughput and
-//! latency percentiles next to `BENCH_sweep.json`).
+//! deterministic multi-client correctness harness that drains every session
+//! and writes a canonical state digest; the service's speed is measured by
+//! `svcbench`).
 //!
 //! ## Quick example
 //!

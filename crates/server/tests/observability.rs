@@ -1,39 +1,21 @@
 //! End-to-end tests for the time-resolved observability layer: the flight
 //! recorder rings behind `GET /debug/flight` / `GET /debug/slow`, the
-//! windowed `GET /stats?window=...` projection, and the event-loop watchdog
-//! (via the `inject_sweep_stall_us` test hook).
+//! windowed `GET /stats?window=...` projection, the event-loop watchdog
+//! (via the `inject_sweep_stall_us` test hook), and the agreement of a
+//! memory-only server's latency histogram with the latencies its clients
+//! observe (the group-commit case runs alone in `group_commit_latency.rs`).
 //!
 //! Everything observation-dependent is gated on
 //! [`tagging_telemetry::enabled`] so the suite also passes when the server
 //! is built with `telemetry-noop`.
 
+mod support;
+
 use serde::Value;
 
+use support::{shutdown, spawn_with, uint_at};
 use tagging_server::http::HttpClient;
-use tagging_server::{ServerOptions, TaggingServer, TelemetryOptions};
-
-fn spawn_with(options: ServerOptions) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
-    let server = TaggingServer::bind_opts("127.0.0.1:0", options).expect("bind ephemeral port");
-    let (addr, handle) = server.spawn().expect("spawn server");
-    (addr.to_string(), handle)
-}
-
-fn shutdown(client: &mut HttpClient, handle: std::thread::JoinHandle<std::io::Result<()>>) {
-    client.request("POST", "/shutdown", None).expect("shutdown");
-    handle.join().expect("join").expect("clean exit");
-}
-
-fn uint_at(value: &Value, path: &[&str]) -> Option<u64> {
-    let mut cursor = value;
-    for key in path {
-        cursor = cursor.get(key)?;
-    }
-    match *cursor {
-        Value::UInt(n) => Some(n),
-        Value::Int(n) => u64::try_from(n).ok(),
-        _ => None,
-    }
-}
+use tagging_server::{ServerOptions, TelemetryOptions};
 
 fn records_of(body: &Value) -> Vec<Value> {
     match body.get("records") {
@@ -222,4 +204,13 @@ fn injected_sweep_stall_is_counted_and_surfaced() {
     assert!(heartbeats >= 1, "the loop heartbeats while serving");
 
     shutdown(&mut client, handle);
+}
+
+/// The latency cross-check on a memory-only server. Other tests in this
+/// binary drive servers concurrently into the same process-wide histogram,
+/// so only the drive's own count delta and bounds that such traffic cannot
+/// loosen are asserted here; see [`support::cross_check_latency`].
+#[test]
+fn server_latency_agrees_with_the_client_view() {
+    support::cross_check_latency(None);
 }

@@ -5,8 +5,8 @@
 //! holds `[2^(i-1), 2^i)` — so every `u64` including `u64::MAX` maps to a
 //! bucket and bucket upper bounds are `2^i - 1`. Quantiles derived from the
 //! buckets are upper bounds that overshoot the true value by strictly less
-//! than 2x, which is plenty for latency dashboards and for the loadgen's
-//! client-vs-server cross-check.
+//! than 2x, which is plenty for latency dashboards and for the server's
+//! client-vs-server cross-check test.
 //!
 //! Recording is lock-free: the bucket counters are sharded per recording
 //! thread exactly like [`Counter`](crate::Counter), plus a per-shard
