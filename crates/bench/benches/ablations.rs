@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation benchmarks for three design choices:
 //!
 //! * similarity metric (cosine, as fixed by the paper, vs Jaccard / Hellinger /
 //!   total-variation) — both the cost of the metric and the tagging quality the

@@ -5,9 +5,8 @@
 //! in-memory mirror, frame it, write it to the shard's WAL — and then either
 //! ask the [`FlushPolicy`] whether to `fsync` inline (`always` / `every:N`)
 //! or park on the group-commit gate (`group`). Snapshot compaction never
-//! happens here when the store runs in background-maintenance mode; the
-//! append path only *marks* a shard as due and the `wal-compactor` tenant
-//! (see [`crate::compactor`]) does the heavy lifting.
+//! happens here: the append path only *marks* a shard as due and the
+//! `wal-compactor` tenant (see [`crate::compactor`]) does the heavy lifting.
 //!
 //! ## The group-commit gate
 //!
@@ -33,7 +32,6 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 use tagging_runtime::{lock_unpoisoned, FlushPolicy};
@@ -177,10 +175,9 @@ impl PersistStore {
     /// kill); device sync follows the configured [`FlushPolicy`] — inline
     /// for `always`/`every:N`, via the shared group-commit gate for `group`.
     ///
-    /// In background-maintenance mode this never compacts: crossing the
-    /// snapshot cadence only queues the shard for the `wal-compactor`
-    /// tenant, keeping the request path bounded to the frame write (plus
-    /// the group-commit ticket wait).
+    /// This never compacts: crossing the snapshot cadence only queues the
+    /// shard for the `wal-compactor` tenant, keeping the request path
+    /// bounded to the frame write (plus the group-commit ticket wait).
     pub fn append(&self, shard: usize, event: &WalEvent) -> io::Result<()> {
         let cell = &self.shards[shard % self.shards.len()];
         let mut guard = lock_unpoisoned(&cell.state);
@@ -195,23 +192,16 @@ impl PersistStore {
         guard.appended_total += 1;
         guard.events_in_segment += 1;
 
-        // Compaction cadence. Inline mode (compact_interval_ms == 0) keeps
-        // the legacy behaviour of rotating right here; background mode only
-        // marks the shard due and enqueues it for the tenant.
+        // Compaction cadence: only mark the shard due and enqueue it for the
+        // `wal-compactor` tenant.
         if guard.compaction_pending {
             self.metrics.compaction_backlog.inc();
         } else if guard.events_in_segment >= self.snapshot_every {
-            if self.background() {
-                guard.compaction_pending = true;
-                self.metrics
-                    .compaction_backlog
-                    .add(guard.events_in_segment as i64);
-                lock_unpoisoned(&self.backlog).push_back(shard % self.shards.len());
-            } else {
-                crate::compactor::rotate_locked(&mut guard, &self.metrics)?;
-                self.compactions.fetch_add(1, Ordering::Relaxed);
-                cell.synced.notify_all();
-            }
+            guard.compaction_pending = true;
+            self.metrics
+                .compaction_backlog
+                .add(guard.events_in_segment as i64);
+            lock_unpoisoned(&self.backlog).push_back(shard % self.shards.len());
         }
 
         match self.flush {

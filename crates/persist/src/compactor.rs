@@ -30,11 +30,10 @@ use std::io;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 use tagging_runtime::{lock_unpoisoned, FlushPolicy, Scheduler, TaskStats};
 
 use crate::appender::{
-    group_sync_locked, open_wal, parse_generation, snap_path, sync_dir, wal_path, Shard,
+    group_sync_locked, open_wal, parse_generation, snap_path, sync_dir, wal_path,
 };
 use crate::store::{PersistStore, StoreMetrics};
 
@@ -44,14 +43,11 @@ use crate::store::{PersistStore, StoreMetrics};
 pub struct MaintenanceStatus {
     /// The flush policy, as its display string (`always`, `group`, ...).
     pub flush_mode: String,
-    /// True when compaction runs on the `wal-compactor` tenant; false in
-    /// inline (legacy) mode where the append path rotates itself.
-    pub background: bool,
     /// Events sitting in segments that are queued for compaction.
     pub backlog_events: u64,
     /// Shards currently queued for compaction.
     pub backlog_shards: usize,
-    /// Segment compactions completed since open (inline or background).
+    /// Segment compactions completed since open.
     pub compactions: u64,
     /// Current segment generation of every shard, in shard order.
     pub shard_generations: Vec<u64>,
@@ -65,8 +61,8 @@ pub struct MaintenanceHandle {
     /// Run stats of the `wal-flusher` tenant (`None` unless the store runs
     /// group commit).
     pub flusher: Option<Arc<TaskStats>>,
-    /// Run stats of the `wal-compactor` tenant (`None` in inline mode).
-    pub compactor: Option<Arc<TaskStats>>,
+    /// Run stats of the `wal-compactor` tenant.
+    pub compactor: Arc<TaskStats>,
 }
 
 /// Spawn the store's maintenance tenants onto `scheduler`:
@@ -75,8 +71,7 @@ pub struct MaintenanceHandle {
 ///   shard, releasing every group-commit waiter (spawned only under
 ///   [`FlushPolicy::Group`]);
 /// * `wal-compactor` — every `compact_interval_ms`, drains the compaction
-///   backlog so snapshots are cut off the request path (spawned only in
-///   background mode, i.e. `compact_interval_ms > 0`).
+///   backlog so snapshots are cut off the request path.
 ///
 /// Both tenants inherit the scheduler's panic isolation; errors inside a
 /// tick are counted on the store's telemetry, never raised.
@@ -91,23 +86,17 @@ pub fn spawn_maintenance(
             store.flush_tick();
         })
     });
-    let compactor = store.background().then(|| {
+    let compactor = {
         let period = store.compact_interval;
         let store = Arc::clone(store);
         scheduler.spawn_periodic("wal-compactor", period, move || {
             store.compact_tick();
         })
-    });
+    };
     MaintenanceHandle { flusher, compactor }
 }
 
 impl PersistStore {
-    /// True when compaction is the `wal-compactor` tenant's job (never the
-    /// append path's).
-    pub fn background(&self) -> bool {
-        !self.compact_interval.is_zero()
-    }
-
     /// One pass of the `wal-compactor` tenant: compact every shard queued on
     /// the backlog when the pass started. Returns how many compactions
     /// completed. A failing shard is counted and re-queued for the next
@@ -121,7 +110,7 @@ impl PersistStore {
             let Some(index) = lock_unpoisoned(&self.backlog).pop_front() else {
                 break;
             };
-            match self.compact_shard(index) {
+            match self.compact_shard(index, false) {
                 Ok(true) => compacted += 1,
                 Ok(false) => {} // no longer pending (a forced compact won)
                 Err(_) => {
@@ -133,18 +122,18 @@ impl PersistStore {
         compacted
     }
 
-    /// Compact one backlog entry: seal under the lock, publish off it.
-    /// Returns `Ok(false)` when the shard was no longer pending.
-    fn compact_shard(&self, index: usize) -> io::Result<bool> {
+    /// Compact one shard: seal under the lock, publish off it. Without
+    /// `force`, returns `Ok(false)` when the shard was no longer pending.
+    fn compact_shard(&self, index: usize, force: bool) -> io::Result<bool> {
         let cell = &self.shards[index % self.shards.len()];
         // Phase 1 — seal. Everything here is cheap except creating the next
         // segment file; the appender is blocked only for that long.
         let (dir, next, mirror) = {
             let mut guard = lock_unpoisoned(&cell.state);
-            if !guard.compaction_pending {
+            if !guard.compaction_pending && !force {
                 return Ok(false);
             }
-            let sealed_events = guard.events_in_segment;
+            let (was_pending, sealed_events) = (guard.compaction_pending, guard.events_in_segment);
             let next = guard.generation + 1;
             // Group-commit waiters may still sit behind unsynced records of
             // the segment being sealed; sync it now — after the swap no one
@@ -158,7 +147,9 @@ impl PersistStore {
             guard.events_in_segment = 0;
             guard.appended_since_sync = 0;
             guard.compaction_pending = false;
-            self.metrics.compaction_backlog.add(-(sealed_events as i64));
+            if was_pending {
+                self.metrics.compaction_backlog.add(-(sealed_events as i64));
+            }
             (guard.dir.clone(), next, guard.sessions.clone())
         };
         cell.synced.notify_all();
@@ -177,15 +168,12 @@ impl PersistStore {
     }
 
     /// Force a compaction of every shard (snapshot + fresh WAL) regardless
-    /// of cadence or mode, synchronously on this thread. Used by tests; the
-    /// server relies on the cadence.
+    /// of cadence, synchronously on this thread, through the same
+    /// seal/publish path as the tenant. Used by tests; the server relies on
+    /// the cadence.
     pub fn compact(&self) -> io::Result<()> {
-        for cell in self.shards.iter() {
-            let mut guard = lock_unpoisoned(&cell.state);
-            rotate_locked(&mut guard, &self.metrics)?;
-            drop(guard);
-            self.compactions.fetch_add(1, Ordering::Relaxed);
-            cell.synced.notify_all();
+        for index in 0..self.shards.len() {
+            self.compact_shard(index, true)?;
         }
         Ok(())
     }
@@ -206,51 +194,12 @@ impl PersistStore {
         }
         MaintenanceStatus {
             flush_mode: self.flush.to_string(),
-            background: self.background(),
             backlog_events,
             backlog_shards,
             compactions: self.compactions.load(Ordering::Relaxed),
             shard_generations,
         }
     }
-
-    /// The `wal-flusher` cadence (meaningful only under group commit).
-    pub fn flush_interval(&self) -> Duration {
-        self.flush_interval
-    }
-
-    /// The `wal-compactor` cadence; zero means inline compaction.
-    pub fn compact_interval(&self) -> Duration {
-        self.compact_interval
-    }
-}
-
-/// Advance `shard` one generation synchronously, under its lock: snapshot
-/// the mirror, open a fresh WAL, delete the previous generation's files.
-/// This is the inline-mode compaction (and the forced [`PersistStore::compact`]
-/// path); the background compactor uses the two-phase
-/// seal/publish split instead.
-pub(crate) fn rotate_locked(shard: &mut Shard, metrics: &StoreMetrics) -> io::Result<()> {
-    let _compact_timer = metrics.snapshot_write_us.start_timer();
-    let sealed_events = shard.events_in_segment;
-    let next = shard.generation + 1;
-    let written = snapshot::write_atomic(&snap_path(&shard.dir, next), &shard.sessions)?;
-    metrics.snapshots.inc();
-    metrics.snapshot_bytes.add(written);
-    shard.wal = open_wal(&wal_path(&shard.dir, next), true)?;
-    shard.generation = next;
-    shard.appended_since_sync = 0;
-    shard.events_in_segment = 0;
-    // The device-synced snapshot now carries every record of the abandoned
-    // segment: group-commit waiters are durable without another WAL fsync.
-    shard.synced_total = shard.appended_total;
-    if shard.compaction_pending {
-        shard.compaction_pending = false;
-        metrics.compaction_backlog.add(-(sealed_events as i64));
-    }
-    metrics.compactions.inc();
-    remove_stale(&shard.dir, next, metrics)?;
-    sync_dir(&shard.dir)
 }
 
 /// Delete every snapshot/WAL file of a generation other than `keep`, plus

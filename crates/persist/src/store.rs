@@ -76,9 +76,8 @@ pub struct PersistOptions {
     /// (also sizes the appender's self-sync fallback deadline). Only
     /// meaningful with [`FlushPolicy::Group`].
     pub flush_interval_ms: u64,
-    /// Cadence of the `wal-compactor` tenant, in milliseconds. `0` disables
-    /// background maintenance and compacts inline on the append path (the
-    /// pre-maintenance behaviour, kept for comparison runs and tests).
+    /// Cadence of the `wal-compactor` tenant, in milliseconds; at least 1
+    /// ([`PersistStore::open`] rejects `0`).
     pub compact_interval_ms: u64,
 }
 
@@ -122,7 +121,7 @@ pub struct RecoveredState {
 pub(crate) struct StoreMetrics {
     /// `persist_wal_append_us`: time to mirror + frame + write one event.
     pub(crate) wal_append_us: Arc<Histogram>,
-    /// `persist_wal_fsync_us`: time of each device sync on the append path.
+    /// `persist_wal_fsync_us`: time of each WAL device sync.
     pub(crate) wal_fsync_us: Arc<Histogram>,
     /// `persist_wal_appends_total` / `persist_wal_append_bytes_total`.
     pub(crate) wal_appends: Arc<Counter>,
@@ -201,7 +200,7 @@ impl StoreMetrics {
             compactions: registry.counter(
                 "persist_compactions_total",
                 &[],
-                "Segment compactions completed (inline or by the wal-compactor tenant)",
+                "Segment compactions completed",
             ),
             compaction_backlog: registry.gauge(
                 "persist_compaction_backlog_events",
@@ -339,7 +338,7 @@ pub struct PersistStore {
     pub(crate) flush: FlushPolicy,
     /// `wal-flusher` tenant period.
     pub(crate) flush_interval: Duration,
-    /// `wal-compactor` tenant period; zero = inline compaction.
+    /// `wal-compactor` tenant period.
     pub(crate) compact_interval: Duration,
     /// How long a group-commit waiter parks before syncing on its own.
     pub(crate) group_wait_timeout: Duration,
@@ -359,7 +358,17 @@ impl PersistStore {
     /// out as a fresh snapshot generation with an empty WAL, and stale files
     /// are deleted — so the on-disk layout is canonical after every startup
     /// and the snapshot path is exercised even on an idle server.
+    ///
+    /// A `compact_interval_ms` of 0 is rejected with
+    /// [`io::ErrorKind::InvalidInput`]: compaction always runs on the
+    /// `wal-compactor` tenant, never on the append path.
     pub fn open(options: &PersistOptions) -> io::Result<(Self, RecoveredState)> {
+        if options.compact_interval_ms == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "compact_interval_ms must be at least 1",
+            ));
+        }
         let shard_count = options.shards.max(1);
         let snapshot_every = options.snapshot_every.max(1);
         let metrics = StoreMetrics::resolve();
@@ -467,9 +476,8 @@ mod tests {
         }
     }
 
-    /// Inline-compaction options: the legacy behaviour the original tests
-    /// pinned (background maintenance has its own tests in
-    /// `tests/maintenance.rs` and `tests/compactor_race.rs`).
+    /// Two shards and a tiny snapshot cadence; no tenant runs, so the tests
+    /// call `compact_tick` themselves.
     fn options(dir: &Path) -> PersistOptions {
         PersistOptions {
             data_dir: dir.to_path_buf(),
@@ -477,7 +485,7 @@ mod tests {
             snapshot_every: 4,
             flush: FlushPolicy::Never,
             flush_interval_ms: 5,
-            compact_interval_ms: 0,
+            compact_interval_ms: 25,
         }
     }
 
@@ -495,8 +503,17 @@ mod tests {
         assert!(recovered.sessions.is_empty());
         assert!(recovered.clean_shutdown);
         assert_eq!(store.shard_count(), 2);
-        assert!(!store.background());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_zero_compaction_interval_is_rejected() {
+        let dir = temp_dir("zero-interval");
+        let mut options = options(&dir);
+        options.compact_interval_ms = 0;
+        let err = PersistStore::open(&options).err().expect("open must fail");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(!dir.exists(), "nothing is created before the check");
     }
 
     #[test]
@@ -564,7 +581,9 @@ mod tests {
                 },
             )
             .unwrap();
-        // snapshot_every = 4: four more events force at least one rotation.
+        let before = store.maintenance_status().shard_generations[0];
+        // snapshot_every = 4: four more events cross the cadence, and the
+        // tick the tenant would run rotates the shard.
         for _ in 0..4 {
             store
                 .append(
@@ -576,8 +595,10 @@ mod tests {
                 )
                 .unwrap();
         }
+        assert_eq!(store.compact_tick(), 1);
         let status = store.maintenance_status();
-        assert!(status.compactions >= 1, "{status:?}");
+        assert_eq!(status.compactions, 1, "{status:?}");
+        assert_eq!(status.shard_generations[0], before + 1, "{status:?}");
         assert_eq!(status.backlog_events, 0);
         let shard_dir = dir.join("shard-000");
         let names: Vec<String> = fs::read_dir(&shard_dir)

@@ -58,8 +58,7 @@ fn shard_files(dir: &Path) -> Vec<String> {
     names
 }
 
-/// The acceptance pin of the refactor: in background mode `append` is
-/// bounded to the frame write — it never cuts a snapshot or rotates the
+/// `append` is bounded to the frame write — it never cuts a snapshot or rotates the
 /// segment, no matter how far past the cadence the shard runs. Only a
 /// compactor tick (what the `wal-compactor` tenant executes) advances the
 /// generation.
@@ -68,7 +67,6 @@ fn append_never_compacts_in_background_mode() {
     let dir = temp_dir("bounded");
     let options = background_options(&dir, FlushPolicy::Never);
     let (store, _) = PersistStore::open(&options).unwrap();
-    assert!(store.background());
 
     store
         .append(
@@ -79,8 +77,7 @@ fn append_never_compacts_in_background_mode() {
             },
         )
         .unwrap();
-    // 5x the snapshot cadence: the inline engine would have rotated five
-    // times by now.
+    // 5x the snapshot cadence.
     for _ in 0..20 {
         store
             .append(
@@ -104,7 +101,7 @@ fn append_never_compacts_in_background_mode() {
             "snap-0000000001.snap".to_string(),
             "wal-0000000001.log".to_string()
         ],
-        "append must not create new generations in background mode"
+        "append must not create new generations"
     );
 
     // One compactor tick does what the tenant would: one compaction,

@@ -194,7 +194,7 @@ fn store_options(dir: &Path) -> PersistOptions {
         snapshot_every: 1_000,
         flush: FlushPolicy::Never,
         flush_interval_ms: 5,
-        compact_interval_ms: 0,
+        compact_interval_ms: 25,
     }
 }
 
@@ -318,7 +318,9 @@ fn a_snapshot_anchors_recovery_when_the_wal_is_lost() {
             )
             .unwrap();
         // Compact: the snapshot now holds the session; the WAL is empty.
+        let before = store.maintenance_status().shard_generations[0];
         store.compact().unwrap();
+        assert_eq!(store.maintenance_status().shard_generations[0], before + 1);
         // One post-compaction event, then die without shutdown.
         store
             .append(

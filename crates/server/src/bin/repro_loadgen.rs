@@ -22,8 +22,8 @@
 //!   restart it on the same `--data-dir`, verify every session recovered, and
 //!   resume the drive (needs `--data-dir` and N below `--requests`);
 //! * `--shards`, `--data-dir`, `--snapshot-every`, `--fsync`,
-//!   `--flush-interval-ms`, `--compact-interval-ms` — passed unchanged to the
-//!   spawned daemon, which alone knows their rules; refused with `--addr`.
+//!   `--compact-interval-ms` — passed unchanged to the spawned daemon, which
+//!   alone knows their rules; refused with `--addr`.
 //!
 //! Every run takes one path: register → drive (→ SIGKILL, restart, verify,
 //! resume) → report pending ("ghost") leases → drain → final checks → digest
@@ -50,12 +50,11 @@ const BATCH: u64 = 8;
 /// Root seed of the fleet's corpora and of the clients' scenario choice.
 const SEED: u64 = 1;
 /// Flags handed to a spawned daemon exactly as given.
-const DAEMON_FLAGS: [&str; 6] = [
+const DAEMON_FLAGS: [&str; 5] = [
     "--shards",
     "--data-dir",
     "--snapshot-every",
     "--fsync",
-    "--flush-interval-ms",
     "--compact-interval-ms",
 ];
 /// The harness's own flags.

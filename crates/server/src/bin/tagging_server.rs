@@ -1,155 +1,138 @@
-//! The tagging-server daemon.
+//! The tagging-server daemon: `tagging_server [--FLAG VALUE]...`.
 //!
-//! Usage:
-//! `cargo run --release -p tagging-server --bin tagging_server -- [--port P] [--workers N] [--shards S] [--threads N] [--data-dir DIR] [--snapshot-every N] [--fsync POLICY]`
-//!
-//! * `--port P` — TCP port to bind on 127.0.0.1 (default 0 = ephemeral; the
-//!   chosen address is printed as `listening on 127.0.0.1:PORT`);
-//! * `--workers N` — request-handling worker threads (default 4; connections
-//!   themselves cost no threads — the accept/read path is nonblocking);
-//! * `--shards S` — session-registry shard count, rounded up to a power of
-//!   two (default 16; 1 = the single-lock baseline used by the CI
-//!   divergence check);
-//! * `--threads N` — compute threads for corpus generation / scenario
-//!   preparation (defaults to `TAGGING_THREADS` / available cores);
-//! * `--data-dir DIR` — enable durable sessions: a write-ahead log plus
-//!   snapshots under `DIR` (one segment per registry shard). On startup the
-//!   daemon recovers every session found there and prints what it recovered;
-//! * `--snapshot-every N` — events per shard between snapshot compactions
-//!   (default 1024; only meaningful with `--data-dir`);
-//! * `--fsync POLICY` — `always`, `never`, `group` or `every:N` (default
-//!   `every:256`): when the WAL forces bytes to the device. Appends always
-//!   reach the OS before they are acknowledged, so any policy survives a
-//!   process kill; the policy bounds what a *power loss* can take. `group`
-//!   is group commit: acknowledgements wait on the shared fsync the
-//!   `wal-flusher` tenant issues, so concurrent requests split one sync;
-//! * `--flush-interval-ms N` — the `wal-flusher` tenant's period (default
-//!   5). Giving this flag without an explicit `--fsync` selects `group`;
-//! * `--compact-interval-ms N` — the `wal-compactor` tenant's period
-//!   (default 25). Snapshot compaction runs on that tenant, never on a
-//!   request thread; `0` restores the legacy inline compaction where the
-//!   append crossing the cadence pays for the snapshot itself.
-//!
-//! A flag given without a value, a malformed number or an unknown `--fsync`
-//! policy exits with status 2 before anything binds, rather than running a
+//! [`FLAGS`] is the daemon's one list of flags: the parser reads it, and a
+//! rejected command line prints the usage text built from it (each flag's
+//! minimum and default). An unknown name, a stray positional, a repeated
+//! flag, or a missing, malformed or below-minimum value exits with status 2
+//! before anything binds, naming the offending token, rather than running a
 //! default in its place.
 //!
-//! Observability flags (all observation-only):
-//!
-//! * `--publish-interval-ms N` — window-rotation / publisher period
-//!   (default 1000); with `--data-dir` the publisher also appends one JSONL
-//!   telemetry sample per interval to `DIR/telemetry.jsonl`;
-//! * `--flight-capacity N` / `--slow-capacity N` — ring sizes behind
-//!   `GET /debug/flight` and `GET /debug/slow` (defaults 256 / 512);
-//! * `--slow-threshold-us N` — handler latency at or above which a request
-//!   also enters the slow ring (default 10000);
-//! * `--stall-budget-us N` — event-loop heartbeat gap / sweep duration above
-//!   which a stall is counted under `server_loop_*` (default 100000).
-//!
-//! The process exits cleanly after a `POST /shutdown`, marking the WAL so
-//! the next start knows the shutdown was clean.
-//!
-//! Observability: `GET /metrics` serves the Prometheus text exposition,
-//! `GET /stats` a JSON projection of the same registry (request counters per
-//! route, latency histograms, WAL/snapshot activity, per-shard session
-//! gauges), and `GET /stats?window=10s` the same projection over a trailing
-//! window. Setting the `TAGGING_TRACE` environment variable to anything but
-//! `0` additionally emits one structured `TRACE ...` line per request to
-//! stderr, carrying a process-unique request id.
+//! With `--port 0` the chosen address is printed as
+//! `listening on 127.0.0.1:PORT`. The process exits cleanly after a
+//! `POST /shutdown`, marking the WAL so the next start knows the shutdown
+//! was clean. Corpus generation uses `TAGGING_THREADS` threads (default: all
+//! cores). The routes, observability endpoints included, are listed in
+//! `tagging_server::service`.
 
+use std::collections::HashMap;
 use std::io::Write;
 
 use tagging_persist::PersistOptions;
 use tagging_runtime::FlushPolicy;
 use tagging_server::{ServerOptions, TaggingServer, TelemetryOptions};
 
-/// Exits with status 2 before anything binds: a malformed flag must never
-/// quietly run a different configuration.
-fn usage_error(message: String) -> ! {
-    eprintln!("tagging_server: {message}");
-    std::process::exit(2);
+/// What a flag's value must be.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// A non-negative integer at or above the given minimum.
+    Int(u64),
+    /// A directory path.
+    Dir,
+    /// A [`FlushPolicy`] name.
+    Policy,
 }
 
-fn arg_value(args: &[String], name: &str) -> Option<usize> {
-    arg_text(args, name).map(|v| {
-        v.parse::<usize>().unwrap_or_else(|_| {
-            usage_error(format!("{name} expects a non-negative integer, got `{v}`"))
-        })
-    })
+/// Every flag the daemon accepts, as (name, value kind, help line).
+#[rustfmt::skip]
+const FLAGS: &[(&str, Kind, &str)] = &[
+    ("--port", Kind::Int(0), "TCP port on 127.0.0.1; 0 picks a free one (default 0)"),
+    ("--workers", Kind::Int(1), "request-handling worker threads (default 4)"),
+    ("--shards", Kind::Int(1), "registry shards, rounded up to a power of two (default 16)"),
+    ("--data-dir", Kind::Dir, "durable sessions: WAL + snapshots here, recovered at start"),
+    ("--snapshot-every", Kind::Int(1), "events per shard between snapshots (default 1024)"),
+    ("--fsync", Kind::Policy, "always|never|group|every:N WAL syncs (default every:256)"),
+    ("--compact-interval-ms", Kind::Int(1), "wal-compactor tenant period (default 25)"),
+    ("--slow-threshold-us", Kind::Int(0), "latency that enters /debug/slow (default 10000)"),
+    ("--stall-budget-us", Kind::Int(1), "event-loop gap counted as a stall (default 100000)"),
+];
+
+/// A checked flag value.
+enum Value {
+    Int(u64),
+    Dir(String),
+    Policy(FlushPolicy),
 }
 
-fn arg_text(args: &[String], name: &str) -> Option<String> {
-    let position = args.iter().position(|arg| arg == name)?;
-    match args.get(position + 1) {
-        Some(value) => Some(value.clone()),
-        None => usage_error(format!("{name} expects a value")),
+fn usage() -> String {
+    let mut text = String::from("usage: tagging_server [--FLAG VALUE]...\n");
+    for (name, kind, help) in FLAGS {
+        let value = match kind {
+            Kind::Int(0) => "N".to_string(),
+            Kind::Int(min) => format!("N>={min}"),
+            Kind::Dir => "DIR".to_string(),
+            Kind::Policy => "POLICY".to_string(),
+        };
+        text.push_str(&format!("  {:<28}{help}\n", format!("{name} {value}")));
     }
+    text
+}
+
+/// Checks `args` against [`FLAGS`]; the error names the offending token.
+fn parse(args: &[String]) -> Result<HashMap<&'static str, Value>, String> {
+    let mut given = HashMap::new();
+    let mut args = args.iter();
+    while let Some(token) = args.next() {
+        let &(name, kind, _) = FLAGS
+            .iter()
+            .find(|(name, ..)| name == token)
+            .ok_or_else(|| format!("unknown argument `{token}`"))?;
+        let text = args
+            .next()
+            .filter(|text| !text.starts_with("--"))
+            .ok_or_else(|| format!("{name} expects a value"))?;
+        let value = match kind {
+            Kind::Int(min) => match text.parse::<u64>() {
+                Ok(n) if n >= min => Value::Int(n),
+                Ok(_) => return Err(format!("{name} must be at least {min}, got `{text}`")),
+                Err(_) => return Err(format!("{name} expects an integer, got `{text}`")),
+            },
+            Kind::Dir => Value::Dir(text.clone()),
+            Kind::Policy => Value::Policy(FlushPolicy::parse(text).ok_or_else(|| {
+                format!("{name} expects always|never|group|every:N, got `{text}`")
+            })?),
+        };
+        if given.insert(name, value).is_some() {
+            return Err(format!("{name} given more than once"));
+        }
+    }
+    Ok(given)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(threads) = arg_value(&args, "--threads") {
-        if threads > 0 {
-            tagging_runtime::set_default_threads(threads);
-        }
-    }
-    let port = arg_value(&args, "--port").unwrap_or(0);
-    let workers = arg_value(&args, "--workers").unwrap_or(4).max(1);
-    let shards = arg_value(&args, "--shards")
-        .unwrap_or(tagging_sim::registry::DEFAULT_SHARDS)
-        .max(1);
-    // Store flags are validated even without `--data-dir`, so a typo fails
-    // the same way whether or not the run is durable.
-    let snapshot_every = arg_value(&args, "--snapshot-every");
-    let fsync = arg_text(&args, "--fsync").map(|policy| {
-        FlushPolicy::parse(&policy).unwrap_or_else(|| {
-            usage_error(format!(
-                "--fsync expects always|never|group|every:N, got `{policy}`"
-            ))
-        })
+    let given = parse(&args).unwrap_or_else(|message| {
+        // Exit before anything binds: a malformed command line must never
+        // quietly run a different configuration.
+        eprint!("tagging_server: {message}\n{}", usage());
+        std::process::exit(2);
     });
-    let flush_interval = arg_value(&args, "--flush-interval-ms");
-    let compact_interval = arg_value(&args, "--compact-interval-ms");
-    let persist = arg_text(&args, "--data-dir").map(|dir| {
-        let mut options = PersistOptions::new(dir, shards);
-        if let Some(every) = snapshot_every {
-            options.snapshot_every = (every as u64).max(1);
+    let int = |name: &str| match given.get(name) {
+        Some(Value::Int(n)) => Some(*n),
+        _ => None,
+    };
+    let port = int("--port").unwrap_or(0);
+    let shards = int("--shards").map_or(tagging_sim::registry::DEFAULT_SHARDS, |n| n as usize);
+    // `parse` checked the store flags even without `--data-dir`, so a typo
+    // fails the same way whether or not the run is durable.
+    let persist = match given.get("--data-dir") {
+        Some(Value::Dir(dir)) => {
+            let mut options = PersistOptions::new(dir, shards);
+            options.snapshot_every = int("--snapshot-every").unwrap_or(options.snapshot_every);
+            if let Some(Value::Policy(policy)) = given.get("--fsync") {
+                options.flush = *policy;
+            }
+            options.compact_interval_ms =
+                int("--compact-interval-ms").unwrap_or(options.compact_interval_ms);
+            Some(options)
         }
-        match fsync {
-            Some(policy) => options.flush = policy,
-            // Asking for a flusher cadence without naming a policy means
-            // group commit — that is the tenant the cadence drives.
-            None if flush_interval.is_some() => options.flush = FlushPolicy::Group,
-            None => {}
-        }
-        if let Some(interval) = flush_interval {
-            options.flush_interval_ms = (interval as u64).max(1);
-        }
-        if let Some(interval) = compact_interval {
-            options.compact_interval_ms = interval as u64;
-        }
-        options
-    });
-
+        _ => None,
+    };
     let mut telemetry = TelemetryOptions::default();
-    if let Some(interval) = arg_value(&args, "--publish-interval-ms") {
-        telemetry.publish_interval_ms = (interval as u64).max(1);
-    }
-    if let Some(capacity) = arg_value(&args, "--flight-capacity") {
-        telemetry.flight_capacity = capacity.max(1);
-    }
-    if let Some(capacity) = arg_value(&args, "--slow-capacity") {
-        telemetry.slow_capacity = capacity.max(1);
-    }
-    if let Some(threshold) = arg_value(&args, "--slow-threshold-us") {
-        telemetry.slow_threshold_us = threshold as u64;
-    }
-    if let Some(budget) = arg_value(&args, "--stall-budget-us") {
-        telemetry.stall_budget_us = (budget as u64).max(1);
-    }
+    telemetry.slow_threshold_us = int("--slow-threshold-us").unwrap_or(telemetry.slow_threshold_us);
+    telemetry.stall_budget_us = int("--stall-budget-us").unwrap_or(telemetry.stall_budget_us);
 
     let options = ServerOptions {
-        workers,
+        workers: int("--workers").map_or(4, |n| n as usize),
         shards,
         persist,
         telemetry,

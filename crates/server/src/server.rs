@@ -27,10 +27,8 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
-use std::path::PathBuf;
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -57,8 +55,8 @@ pub struct ServerOptions {
     /// The store's shard count is overridden to match the registry's — one
     /// WAL segment per registry shard is the design invariant.
     pub persist: Option<PersistOptions>,
-    /// Time-resolved observability configuration: window rotation, flight
-    /// ring capacities, slow threshold, watchdog budget.
+    /// Time-resolved observability configuration: window rotation, slow
+    /// threshold, watchdog budget.
     pub telemetry: TelemetryOptions,
 }
 
@@ -137,9 +135,6 @@ pub struct TaggingServer {
     recovered: Option<RecoveredState>,
     /// Observability configuration the background tenants run on.
     telemetry: TelemetryOptions,
-    /// Where the publisher appends JSONL telemetry samples (`None` without a
-    /// data directory).
-    publish_path: Option<PathBuf>,
 }
 
 impl TaggingServer {
@@ -169,7 +164,6 @@ impl TaggingServer {
     pub fn bind_opts(addr: &str, options: ServerOptions) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let runtime = Runtime::from_env();
-        let mut publish_path = None;
         let (mut service, recovered) = match options.persist {
             None => (TaggingService::with_shards(runtime, options.shards), None),
             Some(mut persist) => {
@@ -187,8 +181,6 @@ impl TaggingServer {
                     persist.data_dir.display().to_string(),
                     persist.flush.to_string(),
                 );
-                // The publisher appends telemetry samples next to the WAL.
-                publish_path = Some(persist.data_dir.join("telemetry.jsonl"));
                 (service, Some(recovered))
             }
         };
@@ -199,7 +191,6 @@ impl TaggingServer {
             pool: WorkerPool::new(options.workers),
             recovered,
             telemetry: options.telemetry,
-            publish_path,
         })
     }
 
@@ -231,19 +222,14 @@ impl TaggingServer {
         let mut draining = false;
         let metrics = self.service.metrics();
 
-        // Background tenants: the telemetry publisher (window rotation +
-        // optional JSONL samples), the event-loop watchdog, and — with a
-        // durable store — the WAL maintenance pair (`wal-flusher` syncing
-        // the group-commit cohorts, `wal-compactor` cutting snapshots off
-        // the request path). Joined after the drain so process exit never
-        // races a half-written sample line or a half-published snapshot.
+        // Background tenants: the telemetry publisher (window rotation),
+        // the event-loop watchdog, and — with a durable store — the WAL
+        // maintenance pair (`wal-flusher` syncing the group-commit cohorts,
+        // `wal-compactor` cutting snapshots off the request path). Joined
+        // after the drain so process exit never races a half-published
+        // snapshot.
         let mut scheduler = Scheduler::new();
-        spawn_telemetry_tenants(
-            &mut scheduler,
-            &self.service,
-            &self.telemetry,
-            self.publish_path.clone(),
-        );
+        spawn_telemetry_tenants(&mut scheduler, &self.service, &self.telemetry);
         let _maintenance = self
             .service
             .persist_store()
@@ -427,47 +413,23 @@ const WATCHDOG_CHECK_MS: u64 = 100;
 /// Spawn the server's background observability tenants:
 ///
 /// * `telemetry-publisher` — rotates the window ring against a fresh
-///   cumulative snapshot every interval and, when a data directory is
-///   attached, appends the newest one-interval delta as a JSONL sample;
+///   cumulative snapshot every interval;
 /// * `loop-watchdog` — measures the event loop's heartbeat gap and counts a
 ///   stall when it exceeds the budget.
 ///
 /// Both are observation-only; with `telemetry-noop` the rotations see all
-/// zeros and nothing is published.
+/// zeros.
 fn spawn_telemetry_tenants(
     scheduler: &mut Scheduler,
     service: &Arc<TaggingService>,
     options: &TelemetryOptions,
-    publish_path: Option<PathBuf>,
 ) {
     let windows = Arc::clone(&service.metrics().windows);
-    let publish = publish_path.filter(|_| tagging_telemetry::enabled());
     scheduler.spawn_periodic(
         "telemetry-publisher",
         Duration::from_millis(options.publish_interval_ms),
         move || {
-            let mut ring = lock_unpoisoned(&windows);
-            ring.rotate(tagging_telemetry::global().snapshot());
-            let rotation = ring.rotations();
-            let (delta, _) = ring.window(1);
-            drop(ring);
-            if let Some(path) = &publish {
-                let mut sample = crate::telemetry::snapshot_to_value(&delta);
-                if let serde::Value::Object(fields) = &mut sample {
-                    fields.insert(0, ("rotation".to_string(), serde::Value::UInt(rotation)));
-                    fields.insert(1, ("ts_us".to_string(), serde::Value::UInt(trace::ts_us())));
-                }
-                let line = serde_json::to_string(&sample).expect("Value serialization is total");
-                // A failed append must not take the tenant down; the next
-                // interval retries with a fresh line.
-                if let Ok(mut file) = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                {
-                    let _ = writeln!(file, "{line}");
-                }
-            }
+            lock_unpoisoned(&windows).rotate(tagging_telemetry::global().snapshot());
         },
     );
 
@@ -497,20 +459,8 @@ fn dispatch(
     let service = Arc::clone(service);
     let done_tx = done_tx.clone();
     // Request id + queue timestamp are taken on the event thread, so the
-    // queue-wait histogram covers the full dispatch-to-pickup gap and trace
-    // lines correlate the two threads through one id.
+    // queue-wait histogram covers the full dispatch-to-pickup gap.
     let request_id = trace::next_request_id();
-    if trace::enabled() {
-        trace::emit(
-            "request.recv",
-            &[
-                ("req", &request_id.to_string()),
-                ("conn", &token.to_string()),
-                ("method", &request.method),
-                ("path", &request.path),
-            ],
-        );
-    }
     let queued_at = Instant::now();
     pool.execute(move || {
         let queue_wait = queued_at.elapsed();
@@ -536,17 +486,6 @@ fn dispatch(
             queue_us: u64::try_from(queue_wait.as_micros()).unwrap_or(u64::MAX),
             ts_us: trace::ts_us(),
         });
-        if trace::enabled() {
-            trace::emit(
-                "request.done",
-                &[
-                    ("req", &request_id.to_string()),
-                    ("status", &handled.response.status.to_string()),
-                    ("queue_us", &queue_wait.as_micros().to_string()),
-                    ("handle_us", &handled_at.elapsed().as_micros().to_string()),
-                ],
-            );
-        }
         let keep_alive = request.keep_alive && !handled.shutdown;
         let bytes = response_bytes(&handled.response, keep_alive);
         let mut backoff = IdleBackoff::new();

@@ -288,7 +288,7 @@ impl TaggingService {
         });
     }
 
-    /// Record non-default telemetry options (ring capacities, thresholds) on
+    /// Record non-default telemetry options (window cadence, thresholds) on
     /// the still-unshared metrics. Called by the server binder before the
     /// service is wrapped in an `Arc`.
     pub fn configure_telemetry(&mut self, options: &crate::telemetry::TelemetryOptions) {
@@ -339,8 +339,8 @@ impl TaggingService {
         ])
     }
 
-    /// The WAL maintenance state as JSON: flush mode, compaction mode,
-    /// backlog depth and per-shard generations. `Null` when memory-only.
+    /// The WAL maintenance state as JSON: flush mode, backlog depth,
+    /// compaction count and per-shard generations. `Null` when memory-only.
     fn maintenance_value(&self) -> Value {
         let Some(store) = &self.persist else {
             return Value::Null;
@@ -350,17 +350,6 @@ impl TaggingService {
             (
                 "flush_mode".to_string(),
                 Value::String(status.flush_mode.clone()),
-            ),
-            (
-                "compaction".to_string(),
-                Value::String(
-                    if status.background {
-                        "background"
-                    } else {
-                        "inline"
-                    }
-                    .to_string(),
-                ),
             ),
             (
                 "backlog_events".to_string(),

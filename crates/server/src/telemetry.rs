@@ -111,21 +111,24 @@ impl Route {
     }
 }
 
+/// Delta slots the window ring retains (64 one-second slots cover every
+/// trailing window up to a minute).
+const WINDOW_SLOTS: usize = 64;
+
+/// Capacity of the all-requests flight ring behind `GET /debug/flight`.
+pub const FLIGHT_CAPACITY: usize = 256;
+
+/// Capacity of the slow-request ring behind `GET /debug/slow`.
+const SLOW_CAPACITY: usize = 512;
+
 /// Configuration of the server's time-resolved observability: window
-/// rotation cadence, ring capacities, the slow-request threshold and the
-/// event-loop stall budget. All observation-only — none of these affect what
-/// the service computes or acknowledges.
+/// rotation cadence, the slow-request threshold and the event-loop stall
+/// budget. All observation-only — none of these affect what the service
+/// computes or acknowledges.
 #[derive(Debug, Clone)]
 pub struct TelemetryOptions {
-    /// Window-rotation (and JSONL publisher) period in milliseconds.
+    /// Window-rotation period in milliseconds.
     pub publish_interval_ms: u64,
-    /// Delta slots the window ring retains (64 one-second slots cover every
-    /// trailing window up to a minute).
-    pub window_slots: usize,
-    /// Capacity of the all-requests flight ring.
-    pub flight_capacity: usize,
-    /// Capacity of the slow-request ring.
-    pub slow_capacity: usize,
     /// Handler latency at or above which a request also enters the slow
     /// ring, in microseconds.
     pub slow_threshold_us: u64,
@@ -141,9 +144,6 @@ impl Default for TelemetryOptions {
     fn default() -> Self {
         Self {
             publish_interval_ms: 1_000,
-            window_slots: 64,
-            flight_capacity: 256,
-            slow_capacity: 512,
             slow_threshold_us: 10_000,
             stall_budget_us: 100_000,
             inject_sweep_stall_us: 0,
@@ -171,7 +171,7 @@ pub struct ServerMetrics {
     /// Ring of per-interval delta snapshots behind the windowed `/stats`
     /// view; rotated by the background publisher task.
     pub windows: Arc<Mutex<WindowRing>>,
-    /// Every completed request, most recent `flight_capacity` retained.
+    /// Every completed request, most recent [`FLIGHT_CAPACITY`] retained.
     pub flight: Arc<FlightRecorder>,
     /// Requests whose handler latency met the slow threshold.
     pub slow: Arc<FlightRecorder>,
@@ -186,7 +186,7 @@ pub struct ServerMetrics {
 impl ServerMetrics {
     /// Resolve every handle from the global registry, with default
     /// [`TelemetryOptions`]. Use [`ServerMetrics::configure`] to apply
-    /// non-default ring sizes before the service is shared.
+    /// non-default options before the service is shared.
     pub fn resolve() -> Self {
         let defaults = TelemetryOptions::default();
         let registry = tagging_telemetry::global();
@@ -238,11 +238,11 @@ impl ServerMetrics {
                 "Worker-pool jobs queued or running",
             ),
             windows: Arc::new(Mutex::new(WindowRing::new(
-                defaults.window_slots,
+                WINDOW_SLOTS,
                 defaults.publish_interval_ms,
             ))),
-            flight: Arc::new(FlightRecorder::new(defaults.flight_capacity)),
-            slow: Arc::new(FlightRecorder::new(defaults.slow_capacity)),
+            flight: Arc::new(FlightRecorder::new(FLIGHT_CAPACITY)),
+            slow: Arc::new(FlightRecorder::new(SLOW_CAPACITY)),
             slow_threshold_us: defaults.slow_threshold_us,
             stall_budget_us: defaults.stall_budget_us,
             loop_watchdog: Arc::new(Watchdog::new("server_loop")),
@@ -250,16 +250,14 @@ impl ServerMetrics {
     }
 
     /// Apply non-default [`TelemetryOptions`]: replaces the (still unshared)
-    /// rings and thresholds. Called by the server binder before the service
-    /// is wrapped in an `Arc`, mirroring
+    /// window ring and thresholds. Called by the server binder before the
+    /// service is wrapped in an `Arc`, mirroring
     /// [`crate::service::TaggingService::describe_persistence`].
     pub fn configure(&mut self, options: &TelemetryOptions) {
         self.windows = Arc::new(Mutex::new(WindowRing::new(
-            options.window_slots,
+            WINDOW_SLOTS,
             options.publish_interval_ms,
         )));
-        self.flight = Arc::new(FlightRecorder::new(options.flight_capacity));
-        self.slow = Arc::new(FlightRecorder::new(options.slow_capacity));
         self.slow_threshold_us = options.slow_threshold_us;
         self.stall_budget_us = options.stall_budget_us;
     }

@@ -1,4 +1,5 @@
-//! The `tagging_server` command line: a malformed flag value exits with
+//! The `tagging_server` command line: an unknown flag, a stray positional,
+//! a repeated flag or a missing, malformed or below-minimum value exits with
 //! status 2 before anything binds, and the flags the service benchmark
 //! passes start a durable group-commit daemon that shuts down cleanly.
 
@@ -13,12 +14,20 @@ const DAEMON: &str = env!("CARGO_BIN_EXE_tagging_server");
 
 #[test]
 fn malformed_flag_values_exit_before_binding() {
+    // Each case's first token is the one the error must name.
     for args in [
         &["--fsync", "bogus"][..],
         &["--workers", "x"],
         &["--shards", "-1"],
-        &["--flush-interval-ms", "5ms"],
+        &["--snapshot-every", "5ms"],
         &["--data-dir"],
+        &["--fsnyc", "group"],
+        &["group"],
+        &["--port", "1"], // repeats the `--port 0` every case starts with
+        &["--compact-interval-ms", "0"],
+        &["--workers", "0"],
+        &["--shards", "0"],
+        &["--snapshot-every", "0"],
     ] {
         let mut child = Command::new(DAEMON)
             .args(["--port", "0"])
@@ -27,13 +36,13 @@ fn malformed_flag_values_exit_before_binding() {
             .stderr(Stdio::piped())
             .spawn()
             .expect("spawn the daemon");
-        // A daemon that ignored the value would bind and serve forever.
+        // A daemon that ignored the argument would bind and serve forever.
         let deadline = Instant::now() + Duration::from_secs(10);
         while child.try_wait().expect("poll the daemon").is_none() {
             if Instant::now() > deadline {
                 let _ = child.kill();
                 let _ = child.wait();
-                panic!("{args:?}: the daemon ran on instead of rejecting the value");
+                panic!("{args:?}: the daemon ran on instead of rejecting the argument");
             }
             std::thread::sleep(Duration::from_millis(10));
         }
@@ -41,10 +50,13 @@ fn malformed_flag_values_exit_before_binding() {
         assert_eq!(output.status.code(), Some(2), "{args:?}");
         let stdout = String::from_utf8_lossy(&output.stdout);
         assert!(!stdout.contains("listening on"), "{args:?} bound: {stdout}");
+        // The usage text after the first line lists every flag, so only the
+        // error line itself can show which token was at fault.
         let stderr = String::from_utf8_lossy(&output.stderr);
+        let error = stderr.lines().next().unwrap_or_default();
         assert!(
-            stderr.contains(args[0]),
-            "{args:?}: the error names the flag: {stderr}"
+            error.contains(args[0]),
+            "{args:?}: the error names the offending token: {stderr}"
         );
     }
 }

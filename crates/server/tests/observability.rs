@@ -15,6 +15,7 @@ use serde::Value;
 
 use support::{shutdown, spawn_with, uint_at};
 use tagging_server::http::HttpClient;
+use tagging_server::telemetry::FLIGHT_CAPACITY;
 use tagging_server::{ServerOptions, TelemetryOptions};
 
 fn records_of(body: &Value) -> Vec<Value> {
@@ -24,18 +25,14 @@ fn records_of(body: &Value) -> Vec<Value> {
     }
 }
 
-/// The flight ring keeps the most recent N requests: with capacity 4 and
-/// more requests than that, the scrape returns exactly the 4 newest (ids
-/// strictly increasing, ending at the most recent), while `recorded` counts
-/// everything that ever passed through.
+/// The flight ring replays the most recent requests: `?n=4` after more
+/// requests than that returns exactly the 4 newest (ids strictly
+/// increasing, oldest first), while `recorded` counts everything that ever
+/// passed through. Wrap-around at capacity is `FlightRecorder`'s own unit
+/// test.
 #[test]
 fn flight_ring_returns_most_recent_requests() {
-    let mut options = ServerOptions::new(2);
-    options.telemetry = TelemetryOptions {
-        flight_capacity: 4,
-        ..TelemetryOptions::default()
-    };
-    let (addr, handle) = spawn_with(options);
+    let (addr, handle) = spawn_with(ServerOptions::new(2));
     let mut client = HttpClient::connect(&addr).expect("connect");
 
     const DRIVEN: u64 = 10;
@@ -43,17 +40,21 @@ fn flight_ring_returns_most_recent_requests() {
         let (status, _) = client.request("GET", "/healthz", None).unwrap();
         assert_eq!(status, 200);
     }
-    let (status, flight) = client.request("GET", "/debug/flight", None).unwrap();
+    let (status, flight) = client.request("GET", "/debug/flight?n=4", None).unwrap();
     assert_eq!(status, 200);
-    assert_eq!(uint_at(&flight, &["capacity"]), Some(4));
+    assert_eq!(
+        uint_at(&flight, &["capacity"]),
+        Some(FLIGHT_CAPACITY as u64)
+    );
 
     if tagging_telemetry::enabled() {
-        assert!(
-            uint_at(&flight, &["recorded"]).unwrap() >= DRIVEN,
+        assert_eq!(
+            uint_at(&flight, &["recorded"]),
+            Some(DRIVEN),
             "every request passes through the ring: {flight:?}"
         );
         let records = records_of(&flight);
-        assert_eq!(records.len(), 4, "capacity bounds the scrape: {flight:?}");
+        assert_eq!(records.len(), 4, "`n` bounds the scrape: {flight:?}");
         let ids: Vec<u64> = records
             .iter()
             .map(|r| uint_at(r, &["id"]).expect("record id"))
@@ -63,11 +64,24 @@ fn flight_ring_returns_most_recent_requests() {
             "records must be ordered oldest to newest: {ids:?}"
         );
         for record in &records {
-            assert!(record.get("route").is_some(), "record has a route");
+            assert_eq!(
+                record.get("route"),
+                Some(&Value::String("healthz".to_string()))
+            );
             assert!(record.get("status").is_some(), "record has a status");
             assert!(record.get("latency_us").is_some(), "record has latency");
             assert!(record.get("queue_us").is_some(), "record has queue wait");
         }
+        // They are the newest 4 of the whole ring. A request enters the
+        // ring before its response is written, so the ring now holds the
+        // driven requests and then the first scrape.
+        let (_, all) = client.request("GET", "/debug/flight", None).unwrap();
+        let all_ids: Vec<u64> = records_of(&all)
+            .iter()
+            .map(|r| uint_at(r, &["id"]).expect("record id"))
+            .collect();
+        assert_eq!(all_ids.len() as u64, DRIVEN + 1, "{all:?}");
+        assert_eq!(all_ids[DRIVEN as usize - 4..DRIVEN as usize], ids[..]);
     } else {
         assert_eq!(uint_at(&flight, &["recorded"]), Some(0));
     }

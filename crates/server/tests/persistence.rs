@@ -32,11 +32,20 @@ fn store_options(dir: &Path) -> PersistOptions {
         snapshot_every: 8,
         flush: FlushPolicy::Never,
         flush_interval_ms: 5,
-        // Inline compaction: these tests drive the service without the
-        // scheduler, so the legacy mode keeps them exercising rotation. The
-        // kill-point sweep below covers the background-compaction windows.
-        compact_interval_ms: 0,
+        compact_interval_ms: 25,
     }
+}
+
+/// Runs one pass of what the `wal-compactor` tenant would: these tests
+/// drive the service without a scheduler, so they compact by hand.
+fn compact_tick(service: &TaggingService) {
+    service.persist_store().expect("durable").compact_tick();
+}
+
+/// Every shard's current segment generation.
+fn generations(service: &TaggingService) -> Vec<u64> {
+    let store = service.persist_store().expect("durable");
+    store.maintenance_status().shard_generations
 }
 
 /// Open (or reopen) a durable service over `dir`.
@@ -144,6 +153,7 @@ fn sessions_survive_an_abrupt_stop_with_identical_state() {
     let dir = temp_dir("abrupt");
     let (ids, before): (Vec<u64>, Vec<Value>) = {
         let service = open_service(&dir);
+        let opened = generations(&service);
         let mut ids = Vec::new();
         for (strategy, seed) in [("FP", 1), ("RR", 2), ("MU", 3), ("FP-MU", 4), ("FC", 5)] {
             ids.push(register(&service, strategy, 40, seed));
@@ -165,8 +175,10 @@ fn sessions_survive_an_abrupt_stop_with_identical_state() {
                 &format!(r#"{{"completions":[{}]}}"#, completions.join(",")),
             );
             assert_eq!(status, 200);
+            compact_tick(&service);
             lease(&service, id, 4); // left pending
         }
+        assert_ne!(generations(&service), opened, "no shard rotated");
         let before = ids
             .iter()
             .map(|&id| comparable_metrics(&service, id))
@@ -326,6 +338,7 @@ fn snap_file(shard: &Path, gen: u64) -> PathBuf {
 /// leaves it: no clean-shutdown marker, pending leases in the WAL tail.
 fn build_base_state(dir: &Path) -> (Vec<u64>, Vec<Value>) {
     let service = open_service(dir);
+    let opened = generations(&service);
     let mut ids = Vec::new();
     for (strategy, seed) in [("FP", 11), ("RR", 12), ("MU", 13), ("FP-MU", 14)] {
         ids.push(register(&service, strategy, 60, seed));
@@ -333,10 +346,14 @@ fn build_base_state(dir: &Path) -> (Vec<u64>, Vec<Value>) {
     for &id in &ids {
         let tasks = lease(&service, id, 6);
         report_replay(&service, id, &tasks);
+        // Later events land in the next generation's WAL, which the split
+        // kill point below needs.
+        compact_tick(&service);
         let tasks = lease(&service, id, 2);
         report_replay(&service, id, &tasks);
         lease(&service, id, 3); // left pending: recovery restores ghosts
     }
+    assert_ne!(generations(&service), opened, "no shard rotated");
     let before = ids
         .iter()
         .map(|&id| comparable_metrics(&service, id))

@@ -58,7 +58,7 @@ impl Scenario {
     /// Resources that never reach a stable point keep the rfd of their full
     /// sequence as the reference — the closest available estimate of their
     /// stable description (the paper sidesteps this by filtering such resources
-    /// out of its sample; we keep them and note the substitution in DESIGN.md).
+    /// out of its sample; we keep them with this substitute reference).
     pub fn from_corpus(corpus: &SyntheticCorpus, params: &ScenarioParams) -> Self {
         Self::from_corpus_with(corpus, params, &Runtime::from_env())
     }

@@ -2,8 +2,8 @@
 //!
 //! Std-only observability for the tagging workspace: a process-wide metrics
 //! registry of atomic counters, gauges and fixed-bucket log-scale latency
-//! histograms, plus a lightweight span/timer API and a structured trace-line
-//! format with per-request ids.
+//! histograms, plus a lightweight span/timer API, per-request ids, a flight
+//! recorder and an event-loop watchdog.
 //!
 //! * [`Counter`] / [`Gauge`] — monotonic and up/down values, sharded atomics
 //!   on the hot path so concurrent recorders do not bounce one cache line;
@@ -17,9 +17,8 @@
 //!   Prometheus text exposition format (the server's `GET /metrics`);
 //! * [`Span`] — `Span::enter("wal.append")` records the scope's duration in
 //!   microseconds into the histogram `wal_append_us` on drop;
-//! * [`trace`] — structured `key=value` log lines gated by the
-//!   `TAGGING_TRACE` environment variable, with [`trace::next_request_id`]
-//!   supplying process-unique request ids.
+//! * [`trace`] — [`trace::next_request_id`] supplies process-unique request
+//!   ids and [`trace::ts_us`] the process clock.
 //!
 //! ## Zero cost to determinism
 //!

@@ -1,70 +1,22 @@
-//! Structured trace lines with per-request ids.
-//!
-//! A trace line is a single stderr line of space-separated `key=value`
-//! pairs, always starting with `ts_us` (microseconds since process start)
-//! and the event name:
-//!
-//! ```text
-//! TRACE ts_us=1234567 event=request.done req=42 route=batch status=200 us=183
-//! ```
-//!
-//! Emission is gated by the `TAGGING_TRACE` environment variable (any
-//! non-empty value other than `0`); when unset, [`enabled`] is a cached
-//! boolean check and [`emit`] returns before formatting anything. Tracing
-//! writes only to stderr and never feeds back into serving decisions, so it
-//! cannot perturb state digests or golden traces.
+//! Per-request ids and the process clock that flight records and the
+//! event-loop watchdog stamp their entries with.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-static TRACE_ENABLED: OnceLock<bool> = OnceLock::new();
 static PROCESS_START: OnceLock<Instant> = OnceLock::new();
 static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Whether trace emission is on: `TAGGING_TRACE` set to a non-empty value
-/// other than `0`. Computed once and cached for the process lifetime.
-pub fn enabled() -> bool {
-    *TRACE_ENABLED.get_or_init(|| {
-        std::env::var("TAGGING_TRACE")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false)
-    })
-}
 
 /// Allocate the next process-unique request id (starts at 1).
 pub fn next_request_id() -> u64 {
     NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Microseconds since the first telemetry call in this process; the `ts_us`
-/// field of every trace line.
+/// Microseconds since the first telemetry call in this process.
 pub fn ts_us() -> u64 {
     let start = PROCESS_START.get_or_init(Instant::now);
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-/// Emit one structured trace line to stderr if tracing is enabled.
-///
-/// `fields` are appended verbatim as `key=value` pairs; callers are
-/// expected to pass values without spaces or newlines (ids, route names,
-/// integers). The line is formatted only when tracing is on.
-///
-/// ```
-/// tagging_telemetry::trace::emit("request.done", &[("req", "42"), ("status", "200")]);
-/// ```
-pub fn emit(event: &str, fields: &[(&str, &str)]) {
-    if !enabled() {
-        return;
-    }
-    let mut line = format!("TRACE ts_us={} event={}", ts_us(), event);
-    for (k, v) in fields {
-        line.push(' ');
-        line.push_str(k);
-        line.push('=');
-        line.push_str(v);
-    }
-    eprintln!("{line}");
 }
 
 #[cfg(test)]
