@@ -153,10 +153,8 @@ pub fn fig5_quality_curves(corpus: &SyntheticCorpus) -> QualityCurvePair {
 
     let curve_of = |id: ResourceId| {
         let posts = corpus.full_sequence(id);
-        let reference = analyzer
-            .analyze(posts)
-            .stable_rfd
-            .unwrap_or_else(|| tagging_core::rfd::rfd_of_prefix(posts, posts.len()));
+        let profile = analyzer.analyze(posts);
+        let reference = profile.stable_rfd.unwrap_or(profile.final_rfd);
         quality_curve(posts, &reference)
     };
 

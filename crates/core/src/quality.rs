@@ -45,9 +45,7 @@ impl QualityEvaluator<CosineSimilarity> {
         let mut evaluator = Self::new();
         for (id, posts) in sequences {
             let profile = analyzer.analyze(posts);
-            let reference = profile
-                .stable_rfd
-                .unwrap_or_else(|| crate::rfd::rfd_of_prefix(posts, posts.len()));
+            let reference = profile.stable_rfd.unwrap_or(profile.final_rfd);
             evaluator.set_reference(id, reference);
         }
         evaluator

@@ -16,9 +16,11 @@
 //! tags associated with a particular resource is usually very small compared
 //! with |T|").
 //!
-//! [`FrequencyTracker`] maintains `h_i(·, k)` incrementally as posts arrive, so
-//! computing `F_i(k)` after each new post costs time proportional to the number
-//! of distinct tags seen, not to `|T|` or `k`.
+//! [`FrequencyTracker`] maintains `h_i(·, k)` incrementally as posts arrive:
+//! a push costs `O(|post| log d)`, where `d` is the number of distinct tags
+//! seen so far, and [`FrequencyTracker::rfd`] costs `O(d)` with one allocation
+//! — it walks the tracker's already-sorted counts instead of rebuilding a map,
+//! so it never depends on `|T|` or `k`.
 
 use std::collections::BTreeMap;
 
@@ -52,14 +54,24 @@ impl Rfd {
                 *map.entry(tag).or_insert(0) += c;
             }
         }
-        let total: u64 = map.values().sum();
+        Self::from_sorted_counts(&map)
+    }
+
+    /// Normalises counts that are already keyed and sorted by tag — the one
+    /// place an rfd is made from counts, so [`Rfd::from_counts`] and
+    /// [`FrequencyTracker::rfd`] perform the same divisions.
+    fn from_sorted_counts(counts: &BTreeMap<TagId, u64>) -> Self {
+        let total: u64 = counts.values().sum();
         if total == 0 {
             return Self::empty();
         }
-        let entries = map
-            .into_iter()
-            .map(|(t, c)| (t, c as f64 / total as f64))
-            .collect();
+        let mut entries = Vec::with_capacity(counts.len());
+        entries.extend(
+            counts
+                .iter()
+                .filter(|&(_, &c)| c > 0)
+                .map(|(&t, &c)| (t, c as f64 / total as f64)),
+        );
         Self { entries }
     }
 
@@ -202,7 +214,8 @@ impl Rfd {
 ///
 /// The tracker is the workhorse behind both the MU strategy's incremental MA
 /// score maintenance and the simulation engine: pushing a post costs
-/// `O(|post| log d)` where `d` is the number of distinct tags seen so far.
+/// `O(|post| log d)` where `d` is the number of distinct tags seen so far, and
+/// producing `F_i(k)` costs `O(d)` with a single allocation.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FrequencyTracker {
     counts: BTreeMap<TagId, u64>,
@@ -266,8 +279,13 @@ impl FrequencyTracker {
     }
 
     /// Produces the current rfd `F_i(k)`.
+    ///
+    /// Equal bit for bit to [`Rfd::from_counts`] over [`Self::counts`]: the
+    /// counts are already sorted by tag, and the normaliser is their sum (not
+    /// the cached incidence count), so even a deserialized tracker yields
+    /// components that sum to 1.
     pub fn rfd(&self) -> Rfd {
-        Rfd::from_counts(self.counts.iter().map(|(&t, &c)| (t, c)))
+        Rfd::from_sorted_counts(&self.counts)
     }
 
     /// Iterates over the raw `(tag, h_i(tag, k))` counts.

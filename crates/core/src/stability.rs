@@ -14,7 +14,9 @@
 //!
 //! * [`StabilityAnalyzer`] — offline analysis of a full post sequence, used for
 //!   dataset preparation (finding resources that reach their stable point) and
-//!   for the DP optimal algorithm;
+//!   for the DP optimal algorithm. [`StabilityAnalyzer::analyze`] is a single
+//!   pass that keeps no per-post rfd history: it clones `F(k)` once, at the
+//!   stable point, and returns the last `F(len)` alongside;
 //! * [`MaTracker`] — the incremental structure used by the MU / FP-MU
 //!   strategies: pushing one post updates the MA score in `O(d)` where `d` is the
 //!   number of distinct tags of the resource, using the sliding-window recurrence
@@ -84,6 +86,8 @@ pub struct StabilityProfile {
     pub stable_point: Option<usize>,
     /// The rfd at the stable point (`φ̂`), if the stable point exists.
     pub stable_rfd: Option<Rfd>,
+    /// The rfd `F(len)` of the whole sequence (empty for an empty sequence).
+    pub final_rfd: Rfd,
     /// Parameters the profile was computed with.
     pub params: StabilityParams,
 }
@@ -131,55 +135,53 @@ impl<M: SimilarityMetric> StabilityAnalyzer<M> {
         self.params
     }
 
-    /// Computes the full stability profile of a post sequence.
+    /// Computes the full stability profile of a post sequence in one pass:
+    /// each post updates the rfd, its adjacent similarity and the MA window,
+    /// and `F(k)` is kept only at the stable point and at the end.
     pub fn analyze(&self, posts: &[Post]) -> StabilityProfile {
         let omega = self.params.omega;
         let tau = self.params.tau;
+        // m(k, ω) averages adjacent similarities at posts k-ω+2 ..= k, i.e.
+        // ω−1 values; `adjacent[j-1]` holds the similarity at post j.
+        let window = omega - 1;
 
         let mut tracker = FrequencyTracker::new();
         let mut prev_rfd = Rfd::empty();
         let mut adjacent = Vec::with_capacity(posts.len());
-        let mut rfd_history: Vec<Rfd> = Vec::with_capacity(posts.len() + 1);
-        rfd_history.push(prev_rfd.clone());
+        let mut ma_scores = Vec::with_capacity((posts.len() + 1).saturating_sub(omega));
+        let mut window_sum = 0.0;
+        let mut stable_point = None;
+        let mut stable_rfd = None;
 
-        for post in posts {
+        for (idx, post) in posts.iter().enumerate() {
+            let k = idx + 1;
             tracker.push(post);
             let cur = tracker.rfd();
             adjacent.push(self.metric.similarity(&prev_rfd, &cur));
-            rfd_history.push(cur.clone());
-            prev_rfd = cur;
-        }
-
-        let mut ma_scores = Vec::new();
-        let mut stable_point = None;
-        if posts.len() >= omega {
-            // m(k, ω) averages adjacent similarities at posts k-ω+2 ..= k,
-            // i.e. ω−1 values; `adjacent[j-1]` holds the similarity at post j.
-            let window = omega - 1;
-            let mut window_sum: f64 = adjacent[(omega - window)..omega].iter().sum();
-            let first_ma = window_sum / window as f64;
-            ma_scores.push(first_ma);
-            if first_ma > tau {
-                stable_point = Some(omega);
-            }
-            for k in (omega + 1)..=posts.len() {
-                window_sum += adjacent[k - 1];
-                window_sum -= adjacent[k - 1 - window];
+            if k >= omega {
+                if k == omega {
+                    // The first window: the similarities at posts 2..=ω.
+                    window_sum = adjacent[1..].iter().sum();
+                } else {
+                    window_sum += adjacent[k - 1];
+                    window_sum -= adjacent[k - 1 - window];
+                }
                 let ma = window_sum / window as f64;
                 ma_scores.push(ma);
                 if stable_point.is_none() && ma > tau {
                     stable_point = Some(k);
+                    stable_rfd = Some(cur.clone());
                 }
             }
+            prev_rfd = cur;
         }
-
-        let stable_rfd = stable_point.map(|k| rfd_history[k].clone());
 
         StabilityProfile {
             adjacent_similarity: adjacent,
             ma_scores,
             stable_point,
             stable_rfd,
+            final_rfd: prev_rfd,
             params: self.params,
         }
     }

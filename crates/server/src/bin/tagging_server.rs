@@ -3,9 +3,11 @@
 //! [`FLAGS`] is the daemon's one list of flags: the parser reads it, and a
 //! rejected command line prints the usage text built from it (each flag's
 //! minimum and default). An unknown name, a stray positional, a repeated
-//! flag, or a missing, malformed or below-minimum value exits with status 2
-//! before anything binds, naming the offending token, rather than running a
-//! default in its place.
+//! flag, a missing, malformed or below-minimum value, or a store flag
+//! ([`STORE_FLAGS`]) without `--data-dir` exits with status 2 before anything
+//! binds, naming the offending token, rather than running a default in its
+//! place. `--shards` needs no data directory: it also sizes the in-memory
+//! registry.
 //!
 //! With `--port 0` the chosen address is printed as
 //! `listening on 127.0.0.1:PORT`. The process exits cleanly after a
@@ -39,12 +41,16 @@ const FLAGS: &[(&str, Kind, &str)] = &[
     ("--workers", Kind::Int(1), "request-handling worker threads (default 4)"),
     ("--shards", Kind::Int(1), "registry shards, rounded up to a power of two (default 16)"),
     ("--data-dir", Kind::Dir, "durable sessions: WAL + snapshots here, recovered at start"),
-    ("--snapshot-every", Kind::Int(1), "events per shard between snapshots (default 1024)"),
-    ("--fsync", Kind::Policy, "always|never|group|every:N WAL syncs (default every:256)"),
-    ("--compact-interval-ms", Kind::Int(1), "wal-compactor tenant period (default 25)"),
+    ("--snapshot-every", Kind::Int(1), "events per shard between snapshots (default 1024; needs --data-dir)"),
+    ("--fsync", Kind::Policy, "always|never|group|every:N WAL syncs (default every:256; needs --data-dir)"),
+    ("--compact-interval-ms", Kind::Int(1), "wal-compactor tenant period (default 25; needs --data-dir)"),
     ("--slow-threshold-us", Kind::Int(0), "latency that enters /debug/slow (default 10000)"),
     ("--stall-budget-us", Kind::Int(1), "event-loop gap counted as a stall (default 100000)"),
 ];
+
+/// The flags that configure the `--data-dir` store and mean nothing without
+/// it, in [`FLAGS`] order.
+const STORE_FLAGS: [&str; 3] = ["--snapshot-every", "--fsync", "--compact-interval-ms"];
 
 /// A checked flag value.
 enum Value {
@@ -95,6 +101,13 @@ fn parse(args: &[String]) -> Result<HashMap<&'static str, Value>, String> {
             return Err(format!("{name} given more than once"));
         }
     }
+    // A memory-only daemon would ignore a store flag, so a script that forgot
+    // `--data-dir` would run without the durability it asked for.
+    if !given.contains_key("--data-dir") {
+        if let Some(name) = STORE_FLAGS.iter().find(|name| given.contains_key(*name)) {
+            return Err(format!("{name} needs --data-dir"));
+        }
+    }
     Ok(given)
 }
 
@@ -112,8 +125,7 @@ fn main() {
     };
     let port = int("--port").unwrap_or(0);
     let shards = int("--shards").map_or(tagging_sim::registry::DEFAULT_SHARDS, |n| n as usize);
-    // `parse` checked the store flags even without `--data-dir`, so a typo
-    // fails the same way whether or not the run is durable.
+    // `parse` refused the store flags without `--data-dir`.
     let persist = match given.get("--data-dir") {
         Some(Value::Dir(dir)) => {
             let mut options = PersistOptions::new(dir, shards);

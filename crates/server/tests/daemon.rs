@@ -1,6 +1,6 @@
 //! The `tagging_server` command line: an unknown flag, a stray positional,
-//! a repeated flag or a missing, malformed or below-minimum value exits with
-//! status 2 before anything binds, and the flags the service benchmark
+//! a repeated flag, a missing, malformed or below-minimum value or a store
+//! flag without `--data-dir` exits with status 2 before anything binds, and the flags the service benchmark
 //! passes start a durable group-commit daemon that shuts down cleanly.
 
 use std::io::{BufRead, BufReader};
@@ -28,6 +28,10 @@ fn malformed_flag_values_exit_before_binding() {
         &["--workers", "0"],
         &["--shards", "0"],
         &["--snapshot-every", "0"],
+        // Store flags without `--data-dir` would configure nothing.
+        &["--fsync", "group"],
+        &["--snapshot-every", "16"],
+        &["--compact-interval-ms", "5"],
     ] {
         let mut child = Command::new(DAEMON)
             .args(["--port", "0"])

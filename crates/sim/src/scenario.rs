@@ -79,9 +79,7 @@ impl Scenario {
             let full = corpus.full_sequence(id);
             let c = corpus.initial_posts[i];
             let profile = analyzer.analyze(full);
-            let reference = profile
-                .stable_rfd
-                .unwrap_or_else(|| rfd_of_prefix(full, full.len()));
+            let reference = profile.stable_rfd.unwrap_or(profile.final_rfd);
             (
                 full[..c].to_vec(),
                 full[c..].to_vec(),
