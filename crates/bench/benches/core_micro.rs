@@ -5,7 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use tagging_bench::setup::smoke_corpus;
+use delicious_sim::generator::{generate, GeneratorConfig};
+use tagging_bench::setup::{reference_stability_params, smoke_corpus};
 use tagging_core::rfd::{rfd_of_prefix, FrequencyTracker};
 use tagging_core::similarity::cosine;
 use tagging_core::stability::{MaTracker, StabilityAnalyzer, StabilityParams};
@@ -101,12 +102,17 @@ fn ma_score_maintenance(c: &mut Criterion) {
     group.finish();
 }
 
-/// Stable-point detection over the whole smoke corpus — the dataset-preparation
-/// step of §V-A.
+/// Stable-point detection over one 2,000-resource paper-sample corpus — the
+/// dataset-preparation step of §V-A at the size of a giant service session,
+/// which registration and recovery both run.
 fn stable_point_detection(c: &mut Criterion) {
-    let corpus = smoke_corpus();
-    let analyzer = StabilityAnalyzer::new(StabilityParams::new(15, 0.999));
-    c.bench_function("dataset_stable_point_scan", |b| {
+    let corpus = generate(&GeneratorConfig::paper_sample().with_resources(2_000));
+    let analyzer = StabilityAnalyzer::new(reference_stability_params());
+    let mut group = c.benchmark_group("core_stability");
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.measurement_time(std::time::Duration::from_secs(3));
+    group.sample_size(10);
+    group.bench_function("dataset_stable_point_scan", |b| {
         b.iter(|| {
             corpus
                 .resource_ids()
@@ -114,6 +120,7 @@ fn stable_point_detection(c: &mut Criterion) {
                 .count()
         })
     });
+    group.finish();
 }
 
 criterion_group!(

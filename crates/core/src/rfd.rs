@@ -75,6 +75,13 @@ impl Rfd {
         Self { entries }
     }
 
+    /// Wraps entries that are already sorted by tag and normalised — the
+    /// stability scan's buffer of `F(k)`, whose weights it computed with the
+    /// same divisions as [`Self::from_sorted_counts`].
+    pub(crate) fn from_sorted_entries(entries: Vec<(TagId, f64)>) -> Self {
+        Self { entries }
+    }
+
     /// Builds an rfd directly from already-normalised `(tag, weight)` pairs.
     ///
     /// The weights are re-normalised defensively so the invariant "components

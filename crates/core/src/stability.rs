@@ -10,26 +10,32 @@
 //!   `k*` is the smallest `k ≥ ω` with `m_i(k, ω) > τ`. `k*` is what the paper
 //!   informally calls the resource's *stable point*.
 //!
-//! Two implementations are provided:
+//! Both implementations below advance `F(k)` through one crate-private step
+//! (`CosineStep`): each post costs one `O(d)` pass over the resource's `d`
+//! sorted tag counts, which computes the weights of `F(k)`, its norm and its
+//! dot product with `F(k−1)` together, and allocates nothing once the step's
+//! two buffers have grown to `d`. `F(k)` becomes an [`Rfd`] only where a caller
+//! asks for it. The similarity is the paper's cosine, bit for bit equal to
+//! [`cosine`]`(&F(k−1), &F(k))`.
 //!
 //! * [`StabilityAnalyzer`] — offline analysis of a full post sequence, used for
 //!   dataset preparation (finding resources that reach their stable point) and
-//!   for the DP optimal algorithm. [`StabilityAnalyzer::analyze`] is a single
-//!   pass that keeps no per-post rfd history: it clones `F(k)` once, at the
-//!   stable point, and returns the last `F(len)` alongside;
+//!   for the DP optimal algorithm. [`StabilityAnalyzer::analyze`] keeps no
+//!   per-post rfd history: it materialises `F(k)` once at the stable point
+//!   and once at the end;
 //! * [`MaTracker`] — the incremental structure used by the MU / FP-MU
-//!   strategies: pushing one post updates the MA score in `O(d)` where `d` is the
-//!   number of distinct tags of the resource, using the sliding-window recurrence
-//!   from Appendix C:
+//!   strategies: pushing one post updates the MA score with that one pass and
+//!   the sliding-window recurrence from Appendix C:
 //!   `(ω−1)·m_i(k,ω) = (ω−1)·m_i(k−1,ω) − s(F(k−ω), F(k−ω+1)) + s(F(k−1), F(k))`.
+//!
+//! [`cosine`]: crate::similarity::cosine
 
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
-use crate::model::Post;
+use crate::model::{Post, TagId};
 use crate::rfd::{FrequencyTracker, Rfd};
-use crate::similarity::{cosine, SimilarityMetric};
 
 /// The `(ω, τ)` parameters of Definitions 7–8.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -107,27 +113,82 @@ impl StabilityProfile {
     }
 }
 
+/// One post of the adjacent-similarity scan: advances `F(k)` and returns
+/// `s(F(k−1), F(k))`, equal bit for bit to `cosine(&F(k−1), &F(k))`.
+///
+/// A step is one pass over the tracker's sorted counts. Each weight is
+/// `c / total`, the division [`FrequencyTracker::rfd`] performs; `Σw²` is
+/// summed in ascending tag order, as [`Rfd::l2_norm`] sums it; and the dot
+/// product merge-joins `F(k−1)` in the same order and with the same operands
+/// as [`Rfd::dot`]. `|F(k−1)|` is carried over from the previous step. The two
+/// weight buffers are swapped after each post, so a step allocates only
+/// while they grow.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CosineStep {
+    tracker: FrequencyTracker,
+    /// `F(k)` as `(tag, weight)` in ascending tag order.
+    cur: Vec<(TagId, f64)>,
+    /// `F(k−1)` while a step runs; stale otherwise.
+    prev: Vec<(TagId, f64)>,
+    /// `|F(k)|`.
+    norm: f64,
+}
+
+impl CosineStep {
+    /// Consumes one post and returns the adjacent similarity it caused.
+    pub(crate) fn push(&mut self, post: &Post) -> f64 {
+        self.tracker.push(post);
+        std::mem::swap(&mut self.prev, &mut self.cur);
+        let prev_norm = self.norm;
+        // The tracker's incidence count is the sum of its counts, which is
+        // the normaliser `FrequencyTracker::rfd` uses.
+        let total = self.tracker.total_incidences() as f64;
+        self.cur.clear();
+        let mut sum_sq = 0.0;
+        let mut dot = 0.0;
+        let mut j = 0;
+        for (tag, c) in self.tracker.counts() {
+            let w = c as f64 / total;
+            self.cur.push((tag, w));
+            sum_sq += w * w;
+            while j < self.prev.len() && self.prev[j].0 < tag {
+                j += 1;
+            }
+            if j < self.prev.len() && self.prev[j].0 == tag {
+                dot += self.prev[j].1 * w;
+                j += 1;
+            }
+        }
+        self.norm = sum_sq.sqrt();
+
+        // `cosine`'s conventions: 0 against the empty rfd or a zero norm,
+        // and a clamp to [0, 1] against floating-point error.
+        if self.prev.is_empty() || self.cur.is_empty() {
+            return 0.0;
+        }
+        let denom = prev_norm * self.norm;
+        if denom == 0.0 {
+            return 0.0;
+        }
+        (dot / denom).clamp(0.0, 1.0)
+    }
+
+    /// `F(k)` as an rfd.
+    pub(crate) fn rfd(&self) -> Rfd {
+        Rfd::from_sorted_entries(self.cur.clone())
+    }
+}
+
 /// Offline stability analysis over full post sequences.
 #[derive(Debug, Clone)]
-pub struct StabilityAnalyzer<M = crate::similarity::CosineSimilarity> {
+pub struct StabilityAnalyzer {
     params: StabilityParams,
-    metric: M,
 }
 
 impl StabilityAnalyzer {
     /// Analyzer using the paper's cosine similarity.
     pub fn new(params: StabilityParams) -> Self {
-        Self {
-            params,
-            metric: crate::similarity::CosineSimilarity,
-        }
-    }
-}
-
-impl<M: SimilarityMetric> StabilityAnalyzer<M> {
-    /// Analyzer using a custom similarity metric (for ablations).
-    pub fn with_metric(params: StabilityParams, metric: M) -> Self {
-        Self { params, metric }
+        Self { params }
     }
 
     /// The parameters this analyzer was configured with.
@@ -136,8 +197,8 @@ impl<M: SimilarityMetric> StabilityAnalyzer<M> {
     }
 
     /// Computes the full stability profile of a post sequence in one pass:
-    /// each post updates the rfd, its adjacent similarity and the MA window,
-    /// and `F(k)` is kept only at the stable point and at the end.
+    /// each post advances the `CosineStep` and the MA window, and `F(k)` is
+    /// materialised only at the stable point and at the end.
     pub fn analyze(&self, posts: &[Post]) -> StabilityProfile {
         let omega = self.params.omega;
         let tau = self.params.tau;
@@ -145,8 +206,7 @@ impl<M: SimilarityMetric> StabilityAnalyzer<M> {
         // ω−1 values; `adjacent[j-1]` holds the similarity at post j.
         let window = omega - 1;
 
-        let mut tracker = FrequencyTracker::new();
-        let mut prev_rfd = Rfd::empty();
+        let mut step = CosineStep::default();
         let mut adjacent = Vec::with_capacity(posts.len());
         let mut ma_scores = Vec::with_capacity((posts.len() + 1).saturating_sub(omega));
         let mut window_sum = 0.0;
@@ -155,9 +215,7 @@ impl<M: SimilarityMetric> StabilityAnalyzer<M> {
 
         for (idx, post) in posts.iter().enumerate() {
             let k = idx + 1;
-            tracker.push(post);
-            let cur = tracker.rfd();
-            adjacent.push(self.metric.similarity(&prev_rfd, &cur));
+            adjacent.push(step.push(post));
             if k >= omega {
                 if k == omega {
                     // The first window: the similarities at posts 2..=ω.
@@ -170,10 +228,9 @@ impl<M: SimilarityMetric> StabilityAnalyzer<M> {
                 ma_scores.push(ma);
                 if stable_point.is_none() && ma > tau {
                     stable_point = Some(k);
-                    stable_rfd = Some(cur.clone());
+                    stable_rfd = Some(step.rfd());
                 }
             }
-            prev_rfd = cur;
         }
 
         StabilityProfile {
@@ -181,7 +238,7 @@ impl<M: SimilarityMetric> StabilityAnalyzer<M> {
             ma_scores,
             stable_point,
             stable_rfd,
-            final_rfd: prev_rfd,
+            final_rfd: step.rfd(),
             params: self.params,
         }
     }
@@ -217,14 +274,15 @@ impl<M: SimilarityMetric> StabilityAnalyzer<M> {
 /// Incremental MA-score tracker for a single resource, as used by the MU and
 /// FP-MU strategies (Algorithm 4 plus the Appendix C optimisation).
 ///
-/// The tracker keeps the current [`FrequencyTracker`], the previous rfd and a
-/// queue of the last `ω − 1` adjacent similarities, so each [`MaTracker::push`]
-/// costs `O(d)` (d = distinct tags of the resource) instead of `O(ω·d)`.
+/// The tracker keeps a `CosineStep` and a queue of the last `ω − 1`
+/// adjacent similarities, so each [`MaTracker::push`] is one `O(d)` pass over
+/// the resource's `d` distinct tags plus `O(1)` window arithmetic, instead of
+/// `O(ω·d)`. It allocates only while its buffers grow; [`MaTracker::rfd`]
+/// materialises `F(k)`.
 #[derive(Debug, Clone)]
 pub struct MaTracker {
     omega: usize,
-    tracker: FrequencyTracker,
-    prev_rfd: Rfd,
+    step: CosineStep,
     /// Last `ω − 1` adjacent similarities (front = oldest).
     window: VecDeque<f64>,
     window_sum: f64,
@@ -240,8 +298,7 @@ impl MaTracker {
         );
         Self {
             omega,
-            tracker: FrequencyTracker::new(),
-            prev_rfd: Rfd::empty(),
+            step: CosineStep::default(),
             window: VecDeque::with_capacity(omega),
             window_sum: 0.0,
             posts_seen: 0,
@@ -269,16 +326,13 @@ impl MaTracker {
 
     /// The current rfd `F(k)`.
     pub fn rfd(&self) -> Rfd {
-        self.tracker.rfd()
+        self.step.rfd()
     }
 
     /// Consumes one post and returns the new MA score if it is defined
     /// (i.e. once at least ω posts have been seen).
     pub fn push(&mut self, post: &Post) -> Option<f64> {
-        self.tracker.push(post);
-        let cur = self.tracker.rfd();
-        let adjacent = cosine(&self.prev_rfd, &cur);
-        self.prev_rfd = cur;
+        let adjacent = self.step.push(post);
         self.posts_seen += 1;
 
         self.window.push_back(adjacent);

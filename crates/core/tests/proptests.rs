@@ -5,8 +5,9 @@
 //! symmetric, the incremental trackers agree with the offline definitions, and
 //! quality is invariant under tag relabelling. The [`reference`] module keeps
 //! the straightforward form of the rfd and stability kernels (a fresh count map
-//! per post, a stored rfd per post, a second pass over the MA window) as a
-//! bit-level oracle for the optimised single-pass code.
+//! per post, a stored rfd per post, a second pass over the MA window, and an
+//! MA tracker built on them) as a bit-level oracle for the fused single-pass
+//! code.
 
 use proptest::prelude::*;
 
@@ -21,7 +22,7 @@ use tagging_sim::scenario::{Scenario, ScenarioParams};
 /// The rfd and stability kernels in their plain form, computed over bare
 /// `(tag, weight)` vectors so nothing here shares code with the crate.
 mod reference {
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, VecDeque};
 
     use tagging_core::model::{Post, TagId};
 
@@ -115,6 +116,57 @@ mod reference {
             stable_point,
             stable_rfd: stable_point.map(|k| history[k].clone()),
             final_rfd: history[posts.len()].clone(),
+        }
+    }
+
+    /// `MaTracker` in its plain form: a fresh rfd per post from the count
+    /// map, `cosine` against the stored previous rfd, and the same
+    /// `VecDeque` window arithmetic as the crate's tracker.
+    pub struct MaTracker {
+        omega: usize,
+        counts: BTreeMap<TagId, u64>,
+        prev: Entries,
+        window: VecDeque<f64>,
+        window_sum: f64,
+        posts_seen: usize,
+    }
+
+    impl MaTracker {
+        pub fn new(omega: usize) -> Self {
+            Self {
+                omega,
+                counts: BTreeMap::new(),
+                prev: Vec::new(),
+                window: VecDeque::new(),
+                window_sum: 0.0,
+                posts_seen: 0,
+            }
+        }
+
+        pub fn push(&mut self, post: &Post) -> Option<f64> {
+            for tag in post.iter() {
+                *self.counts.entry(tag).or_insert(0) += 1;
+            }
+            let cur = rfd_from_counts(self.counts.iter().map(|(&t, &c)| (t, c)));
+            let adjacent = cosine(&self.prev, &cur);
+            self.prev = cur;
+            self.posts_seen += 1;
+            self.window.push_back(adjacent);
+            self.window_sum += adjacent;
+            while self.window.len() > self.omega - 1 {
+                if let Some(old) = self.window.pop_front() {
+                    self.window_sum -= old;
+                }
+            }
+            self.ma_score()
+        }
+
+        pub fn ma_score(&self) -> Option<f64> {
+            (self.posts_seen >= self.omega).then(|| self.window_sum / (self.omega - 1) as f64)
+        }
+
+        pub fn rfd(&self) -> &Entries {
+            &self.prev
         }
     }
 }
@@ -314,6 +366,27 @@ proptest! {
                 (Some(inc), Some(off)) => prop_assert!((inc - off).abs() < 1e-9),
                 (None, None) => {}
                 (inc, off) => prop_assert!(false, "definedness mismatch at k={k}: {inc:?} vs {off:?}"),
+            }
+        }
+    }
+
+    /// `MaTracker`'s MA score and rfd equal the plain tracker's bit for bit
+    /// at every prefix, on random and on converging sequences.
+    #[test]
+    fn ma_tracker_is_bit_identical_to_reference(
+        random in arb_sequence(),
+        converging in arb_converging_sequence(),
+        omega in 2usize..21,
+    ) {
+        for posts in [&random, &converging] {
+            let mut tracker = MaTracker::new(omega);
+            let mut want = reference::MaTracker::new(omega);
+            for (idx, post) in posts.iter().enumerate() {
+                let pushed = tracker.push(post).map(f64::to_bits);
+                let expected = want.push(post).map(f64::to_bits);
+                prop_assert_eq!(pushed, expected, "push, ω={} k={}", omega, idx + 1);
+                prop_assert_eq!(tracker.ma_score().map(f64::to_bits), expected);
+                prop_assert_eq!(rfd_bits(&tracker.rfd()), entry_bits(want.rfd()));
             }
         }
     }

@@ -38,6 +38,38 @@ impl FewestPostsFirst {
     pub fn queue_len(&self) -> usize {
         self.queue.len()
     }
+
+    /// Pops the entries that a water-fill of `k ≥ 1` tasks can reach.
+    fn pop_reachable(&mut self, k: usize) -> Vec<(u64, u32)> {
+        // The heap pops in (count, id) order, so the peeked entry `(c, id)`
+        // gets a task only after every popped entry below `c` is lifted to
+        // `c` and every popped entry already at `c` (all of smaller id)
+        // takes one more; once those tasks alone cover the batch, it and
+        // every deeper entry stay untouched and cannot affect the order.
+        let mut entries: Vec<(u64, u32)> = Vec::new();
+        let mut popped_sum = 0u64;
+        // Popped entries at the last popped count.
+        let mut tied = 0u64;
+        while let Some(&Reverse((count, id))) = self.queue.peek() {
+            let lift = count * entries.len() as u64 - popped_sum;
+            let ahead = match entries.last() {
+                Some(&(last, _)) if last == count => tied,
+                _ => 0,
+            };
+            if !entries.is_empty() && lift + ahead >= k as u64 {
+                break;
+            }
+            self.queue.pop();
+            entries.push((count, id));
+            popped_sum += count;
+            tied = ahead + 1;
+        }
+        assert!(
+            !entries.is_empty(),
+            "FP queue is empty: init() not called or no resources"
+        );
+        entries
+    }
 }
 
 impl AllocationStrategy for FewestPostsFirst {
@@ -99,33 +131,15 @@ impl BatchAllocator for FewestPostsFirst {
     /// bump the `(count, id)`-minimum, i.e. they fill post-count levels from
     /// the bottom in id order. Instead of `k` heap round-trips, pop only the
     /// resources the fill can touch, replay the fill arithmetically and push
-    /// each touched resource back once — `O(m log n + k)` for `m` touched
-    /// resources.
+    /// each touched resource back once. At most `k` entries plus the entries
+    /// below the fill's final level are popped, so a batch costs
+    /// `O((k + m) log n)` for `m` entries below that level — `O(k log n)` once
+    /// the counts are levelled.
     fn allocate_batch(&mut self, state: &mut BatchState<'_>, k: usize) -> Vec<ResourceId> {
         if k == 0 {
             return Vec::new();
         }
-        // Pop only the entries the fill can reach. An entry at count `c` is
-        // touchable only if raising every entry below it up to level `c` takes
-        // fewer than `k` tasks (the heap pops in (count, id) order, so "below"
-        // is exactly what was already popped); once that lift alone covers the
-        // batch, deeper entries cannot receive a task or affect the order.
-        let mut entries: Vec<(u64, u32)> = Vec::new();
-        let mut popped_sum = 0u64;
-        while let Some(&Reverse((count, id))) = self.queue.peek() {
-            let lift = count * entries.len() as u64 - popped_sum;
-            if !entries.is_empty() && lift >= k as u64 {
-                break;
-            }
-            self.queue.pop();
-            entries.push((count, id));
-            popped_sum += count;
-        }
-        assert!(
-            !entries.is_empty(),
-            "FP queue is empty: init() not called or no resources"
-        );
-
+        let entries = self.pop_reachable(k);
         let mut out = Vec::with_capacity(k);
         let finals = water_fill(entries, k, |id| {
             state.commit(id);
@@ -225,6 +239,28 @@ mod tests {
         let outcome = run_allocation(&mut fp, &mut source, &initial, &popularity, 6);
         assert_eq!(outcome.allocated.iter().sum::<u32>(), 6);
         assert!(outcome.undelivered > 0);
+    }
+
+    #[test]
+    fn levelled_queue_pops_only_the_batch() {
+        // 2,000 resources at one count: a batch of k reaches exactly the k
+        // smallest ids, so only those k entries may leave the heap.
+        let mut fp = FewestPostsFirst::new();
+        fp.queue.extend((0..2_000u32).map(|id| Reverse((7, id))));
+        for k in [1usize, 8, 32] {
+            let popped = fp.pop_reachable(k);
+            let want: Vec<(u64, u32)> = (0..k as u32).map(|id| (7, id)).collect();
+            assert_eq!(popped, want, "k={k}");
+            fp.queue.extend(popped.into_iter().map(Reverse));
+        }
+        // One level higher for the first 3 ids: the batch still pops only the
+        // k entries left at the lower level.
+        let mut fp = FewestPostsFirst::new();
+        fp.queue
+            .extend((0..2_000u32).map(|id| Reverse((if id < 3 { 8 } else { 7 }, id))));
+        let popped = fp.pop_reachable(8);
+        let want: Vec<(u64, u32)> = (3..11).map(|id| (7, id)).collect();
+        assert_eq!(popped, want);
     }
 
     #[test]

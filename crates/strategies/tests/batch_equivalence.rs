@@ -5,7 +5,11 @@
 //!    batch sizes {1, 7, 64}, including across batches with interleaved
 //!    observations and exhausted post sources;
 //! 2. the batched protocol at batch size 1 degenerates to the classic
-//!    sequential framework loop, bit for bit.
+//!    sequential framework loop, bit for bit;
+//! 3. FP's native batch stays equivalent on random, heavily tied post counts,
+//!    where its pop bound decides how much of the heap a batch touches.
+
+use proptest::prelude::*;
 
 use tagging_core::model::{Post, ResourceId, TagId};
 use tagging_strategies::batch::{run_allocation_batched, BatchAllocator, BatchState};
@@ -258,4 +262,35 @@ fn observations_between_batches_change_future_batches() {
         mu.allocate_batch(&mut state, 1)
     };
     assert_eq!(second, vec![ResourceId(0)], "re-enqueued after observation");
+}
+
+/// Strategy: 1–500 post counts drawn from a 3-wide range, so FP's heap holds
+/// long runs of tied entries, as it does once FP has levelled the counts.
+fn arb_tied_counts() -> impl Strategy<Value = Vec<usize>> {
+    (0usize..40, proptest::collection::vec(0usize..3, 1..=500))
+        .prop_map(|(base, offsets)| offsets.into_iter().map(|o| base + o).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// FP's native `allocate_batch(k)` equals `k` sequential `allocate_one`s
+    /// over several batches in a row, on tie-heavy counts.
+    #[test]
+    fn fp_native_batch_matches_sequential_on_tied_counts(
+        counts in arb_tied_counts(),
+        k in 1usize..=32,
+        batches in 1usize..=6,
+    ) {
+        let initial: Vec<Vec<Post>> = counts.iter().map(|&c| vec![post(0); c]).collect();
+        let popularity = vec![1.0 / counts.len() as f64; counts.len()];
+        let budget = k * batches;
+        let run = |strategy: &mut dyn BatchAllocator| {
+            let mut source = ReplaySource::new(vec![Vec::new(); counts.len()]);
+            run_allocation_batched(strategy, &mut source, &initial, &popularity, budget, k)
+        };
+        let got = run(StrategyKind::Fp.build_batch(5, 1).as_mut());
+        let want = run(&mut ForcedDefault(StrategyKind::Fp.build_batch(5, 1)));
+        prop_assert_eq!(got, want);
+    }
 }
